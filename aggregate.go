@@ -53,7 +53,7 @@ func (t *Table) aggColumn(name string, kind Kind) (*Column, error) {
 func (t *Table) sumCodes(c *Column, mask *bitvec.Vector, cfg *queryConfig) (uint64, int, error) {
 	if cc, ok := compressedOf(c.data); ok && cfg.native() {
 		st, finish := cfg.aggStage("sum("+c.Name()+")", "sum")
-		sum, count, err := kernel.ParallelSumCompressedObs(cfg.ctx, cc, mask, cfg.nativeWorkers(cc.Segments()), st)
+		sum, count, err := kernel.SumCompressed(cfg.exec(cc.Segments(), st), cc, mask)
 		err = queryErr(err)
 		finish(err)
 		return sum, count, err
@@ -61,7 +61,7 @@ func (t *Table) sumCodes(c *Column, mask *bitvec.Vector, cfg *queryConfig) (uint
 	if bs, ok := byteSliceOf(c.data); ok {
 		if cfg.native() {
 			st, finish := cfg.aggStage("sum("+c.Name()+")", "sum")
-			sum, count, err := kernel.ParallelSumObs(cfg.ctx, bs, mask, cfg.nativeWorkers(bs.Segments()), st)
+			sum, count, err := kernel.Sum(cfg.exec(bs.Segments(), st), bs, mask)
 			err = queryErr(err)
 			finish(err)
 			return sum, count, err
@@ -96,7 +96,7 @@ func (t *Table) extremeCode(c *Column, mask *bitvec.Vector, cfg *queryConfig, is
 			name = "min(" + c.Name() + ")"
 		}
 		st, finish := cfg.aggStage(name, "extreme")
-		v, found, err := kernel.ParallelExtremeCompressedObs(cfg.ctx, cc, mask, isMin, cfg.nativeWorkers(cc.Segments()), st)
+		v, found, err := kernel.ExtremeCompressed(cfg.exec(cc.Segments(), st), cc, mask, isMin)
 		err = queryErr(err)
 		finish(err)
 		return v, found, err
@@ -108,7 +108,7 @@ func (t *Table) extremeCode(c *Column, mask *bitvec.Vector, cfg *queryConfig, is
 				name = "min(" + c.Name() + ")"
 			}
 			st, finish := cfg.aggStage(name, "extreme")
-			v, found, err := kernel.ParallelExtremeObs(cfg.ctx, bs, mask, isMin, cfg.nativeWorkers(bs.Segments()), st)
+			v, found, err := kernel.Extreme(cfg.exec(bs.Segments(), st), bs, mask, isMin)
 			err = queryErr(err)
 			finish(err)
 			return v, found, err
@@ -318,7 +318,7 @@ func (t *Table) SumIntWhere(valCol string, f Filter, opts ...QueryOption) (int64
 	}
 	if ok {
 		st, finish := cfg.aggStage("scan_sum("+f.Col+"→"+valCol+")", "scan_sum")
-		sum, count, err := kernel.ScanSumObs(cfg.ctx, bsF, pred, bsV, cfg.nativeWorkers(bsF.Segments()), st)
+		sum, count, err := kernel.ScanSum(cfg.exec(bsF.Segments(), st), bsF, pred, bsV)
 		err = queryErr(err)
 		finish(err)
 		if err != nil {
@@ -349,7 +349,7 @@ func (t *Table) SumDecimalWhere(valCol string, f Filter, opts ...QueryOption) (f
 	}
 	if ok {
 		st, finish := cfg.aggStage("scan_sum("+f.Col+"→"+valCol+")", "scan_sum")
-		sum, count, err := kernel.ScanSumObs(cfg.ctx, bsF, pred, bsV, cfg.nativeWorkers(bsF.Segments()), st)
+		sum, count, err := kernel.ScanSum(cfg.exec(bsF.Segments(), st), bsF, pred, bsV)
 		err = queryErr(err)
 		finish(err)
 		if err != nil {
@@ -442,7 +442,7 @@ func (t *Table) fusedExtreme(c *Column, f Filter, opts []QueryOption, isMin bool
 		return 0, false, false, err
 	}
 	st, finish := cfg.aggStage("scan_extreme("+f.Col+"→"+c.Name()+")", "scan_extreme")
-	code, ok, err = kernel.ScanExtremeObs(cfg.ctx, bsF, pred, bsV, isMin, cfg.nativeWorkers(bsF.Segments()), st)
+	code, ok, err = kernel.ScanExtreme(cfg.exec(bsF.Segments(), st), bsF, pred, bsV, isMin)
 	err = queryErr(err)
 	finish(err)
 	if err != nil {
@@ -537,10 +537,13 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 			if err := cfg.ctxErr(); err != nil {
 				return nil, err
 			}
+			pred := layout.Predicate{Op: Eq, C1: code}
 			if cfg.native() {
-				kernel.Scan(bsGrp, layout.Predicate{Op: Eq, C1: code}, groupMask)
+				if _, err := kernel.Scan(kernel.Exec{Ctx: cfg.ctx}, bsGrp, pred, groupMask); err != nil {
+					return nil, queryErr(err)
+				}
 			} else {
-				bsGrp.Scan(e, layout.Predicate{Op: Eq, C1: code}, groupMask)
+				bsGrp.Scan(e, pred, groupMask)
 			}
 			if mask != nil {
 				groupMask.And(mask)
@@ -551,7 +554,10 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 			}
 			var codeSum uint64
 			if cfg.native() {
-				codeSum, _ = kernel.Sum(bsVal, groupMask)
+				var err error
+				if codeSum, _, err = kernel.Sum(kernel.Exec{Ctx: cfg.ctx}, bsVal, groupMask); err != nil {
+					return nil, queryErr(err)
+				}
 			} else {
 				codeSum, _ = bsVal.Sum(e, groupMask)
 			}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -108,6 +109,9 @@ func serveBench(n int, seed uint64) ([]experiments.ScanBenchEntry, error) {
 						mu.Unlock()
 						return
 					}
+					// Drain before closing: an undrained body cannot go back
+					// to the keep-alive pool, so every request would dial.
+					_, _ = io.Copy(io.Discard, resp.Body)
 					resp.Body.Close() //nolint:errcheck // status only
 					if resp.StatusCode != http.StatusOK {
 						mu.Lock()

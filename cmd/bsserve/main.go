@@ -30,6 +30,22 @@ import (
 	"byteslice/internal/serve"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection closes after idleTimeout, so
+// slow or silent clients cannot hold connections outside admission
+// control. No write timeout: the per-query deadline already bounds the
+// work behind every response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the query handler in an http.Server with the
+// connection timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // mountFlag collects repeatable name=path mount flags.
 type mountFlag []struct{ name, path string }
 
@@ -102,7 +118,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	// The actual address matters when -addr asks for port 0: tests and
 	// scripts parse this line to find the server.
 	fmt.Printf("bsserve: serving on %s\n", ln.Addr())

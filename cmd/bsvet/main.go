@@ -1,6 +1,6 @@
 // Command bsvet runs the ByteSlice static-analysis suite from
-// internal/analysis — hotloop, kernelparity, atomicfield, boundedalloc,
-// epochsafe, goroutinelife, ctxflow, and errsentinel — plus the
+// internal/analysis — hotloop, atomicfield, boundedalloc, epochsafe,
+// goroutinelife, ctxflow, and errsentinel — plus the
 // compiler-output BCE/escape gate.
 //
 // Standalone (the common case):

@@ -7,7 +7,6 @@ import (
 	"byteslice/internal/core"
 	"byteslice/internal/kernel"
 	"byteslice/internal/layout"
-	"byteslice/internal/obs"
 )
 
 // layoutKernel is one storage layout's native-execution dispatch entry:
@@ -20,53 +19,43 @@ import (
 // pins all three in sync).
 type layoutKernel struct {
 	// scanKind labels the obs stage for a plain scan of this layout.
-	scanKind func(c *Column) string
+	scanKind string
 	// scan evaluates pred over the whole column into out, returning how
 	// many segments metadata pruning resolved without touching data.
-	scan func(ctx context.Context, c *Column, pred layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (pruned int, err error)
+	scan func(x kernel.Exec, c *Column, pred layout.Predicate, out *bitvec.Vector) (pruned int, err error)
 	// scanPipelined, when non-nil, fuses the running result into the scan
 	// (column-first Algorithm 2): segments already decided by prev are
 	// skipped. Layouts without a native pipelined kernel leave it nil and
 	// run an independent scan combined through the bit vector.
-	scanPipelined func(ctx context.Context, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, workers int, out *bitvec.Vector, st *obs.Stage) (pruned int, err error)
+	scanPipelined func(x kernel.Exec, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, out *bitvec.Vector) (pruned int, err error)
 	// lookupMany gathers the codes of rows (ascending) into codes — the
 	// projection / ORDER-BY materialisation path.
-	lookupMany func(ctx context.Context, c *Column, rows []int32, codes []uint32, st *obs.Stage) error
+	lookupMany func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error
 	// lookupChunkable reports whether disjoint row ranges may be handed
-	// to lookupMany concurrently. Block-decoding layouts keep the whole
-	// ascending row list so each block decodes once.
+	// to lookupMany's workers. Block-decoding layouts keep the whole
+	// ascending row list on one worker so each block decodes once.
 	lookupChunkable bool
 	// segments sizes the worker pool: the column's 32-code segment count.
 	segments func(c *Column) int
 }
 
 // nativeKernels is the layout dispatch table of the native execution
-// path, keyed by the layout's format tag.
+// path, keyed by the layout's format tag. The kernels consult the
+// layout's own pruning metadata (zone maps, block bounds) themselves.
 var nativeKernels = map[Format]*layoutKernel{
 	FormatByteSlice: {
-		scanKind: func(c *Column) string {
-			if bs, _ := byteSliceOf(c.data); bs.HasZoneMaps() {
-				return "scan_zoned"
-			}
-			return "scan"
-		},
-		scan: func(ctx context.Context, c *Column, pred layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+		scanKind: "scan",
+		scan: func(x kernel.Exec, c *Column, pred layout.Predicate, out *bitvec.Vector) (int, error) {
 			bs, _ := byteSliceOf(c.data)
-			if bs.HasZoneMaps() {
-				return kernel.ParallelScanZonedObs(ctx, bs, pred, workers, out, st)
-			}
-			return 0, kernel.ParallelScanObs(ctx, bs, pred, workers, out, st)
+			return kernel.Scan(x, bs, pred, out)
 		},
-		scanPipelined: func(ctx context.Context, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+		scanPipelined: func(x kernel.Exec, c *Column, pred layout.Predicate, prev *bitvec.Vector, disjunct bool, out *bitvec.Vector) (int, error) {
 			bs, _ := byteSliceOf(c.data)
-			if bs.HasZoneMaps() {
-				return kernel.ParallelScanPipelinedZonedObs(ctx, bs, pred, prev, disjunct, workers, out, st)
-			}
-			return 0, kernel.ParallelScanPipelinedObs(ctx, bs, pred, prev, disjunct, workers, out, st)
+			return kernel.ScanPipelined(x, bs, pred, prev, disjunct, out)
 		},
-		lookupMany: func(ctx context.Context, c *Column, rows []int32, codes []uint32, st *obs.Stage) error {
+		lookupMany: func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error {
 			bs, _ := byteSliceOf(c.data)
-			return kernel.LookupManyObs(ctx, bs, rows, codes, st)
+			return kernel.LookupMany(x, bs, rows, codes)
 		},
 		lookupChunkable: true,
 		segments: func(c *Column) int {
@@ -75,20 +64,17 @@ var nativeKernels = map[Format]*layoutKernel{
 		},
 	},
 	FormatByteSliceC: {
-		scanKind: func(c *Column) string { return "scan_compressed" },
-		scan: func(ctx context.Context, c *Column, pred layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+		scanKind: "scan_compressed",
+		scan: func(x kernel.Exec, c *Column, pred layout.Predicate, out *bitvec.Vector) (int, error) {
 			cc, _ := compressedOf(c.data)
-			return kernel.ParallelScanCompressedObs(ctx, cc, pred, workers, out, st)
+			return kernel.ScanCompressed(x, cc, pred, out)
 		},
-		lookupMany: func(ctx context.Context, c *Column, rows []int32, codes []uint32, st *obs.Stage) error {
+		lookupMany: func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error {
 			// Rows arrive ascending, so each 512-code block decodes at most
-			// once into a stack buffer and serves every row it contains.
+			// once per batch into a stack buffer and serves every row it
+			// contains.
 			cc, _ := compressedOf(c.data)
-			bytes := kernel.LookupManyCompressed(cc, rows, codes)
-			if st != nil {
-				st.AddRows(int64(len(rows)), bytes)
-			}
-			return ctxErrOf(ctx)
+			return kernel.LookupManyCompressed(x, cc, rows, codes)
 		},
 		segments: func(c *Column) int {
 			cc, _ := compressedOf(c.data)
@@ -96,14 +82,14 @@ var nativeKernels = map[Format]*layoutKernel{
 		},
 	},
 	FormatHBP: {
-		scanKind: func(c *Column) string { return "scan_hbp" },
-		scan: func(ctx context.Context, c *Column, pred layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+		scanKind: "scan_hbp",
+		scan: func(x kernel.Exec, c *Column, pred layout.Predicate, out *bitvec.Vector) (int, error) {
 			h, _ := hbpOf(c.data)
-			return 0, kernel.ParallelScanHBPObs(ctx, h, pred, workers, out, st)
+			return 0, kernel.ScanHBP(x, h, pred, out)
 		},
-		lookupMany: func(ctx context.Context, c *Column, rows []int32, codes []uint32, st *obs.Stage) error {
+		lookupMany: func(x kernel.Exec, c *Column, rows []int32, codes []uint32) error {
 			h, _ := hbpOf(c.data)
-			return kernel.LookupManyHBPObs(ctx, h, rows, codes, st)
+			return kernel.LookupManyHBP(x, h, rows, codes)
 		},
 		lookupChunkable: true,
 		segments: func(c *Column) int {
@@ -119,15 +105,6 @@ func nativeKernelOf(c *Column) *layoutKernel {
 	return nativeKernels[c.Format()]
 }
 
-// ctxErrOf mirrors queryConfig.ctxErr for dispatch entries that finish
-// synchronously without an internal cancellation loop.
-func ctxErrOf(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 // materializeCodes stitches every row's code back out of the column using
 // its native lookup kernel (modelled layouts fall back to the engine) —
 // the first half of a re-layout. A nil ctx disables cancellation (the
@@ -141,7 +118,7 @@ func materializeCodes(ctx context.Context, c *Column) ([]uint32, error) {
 	}
 	codes := make([]uint32, n)
 	if lk := nativeKernelOf(c); lk != nil {
-		if err := lk.lookupMany(ctx, c, rows, codes, nil); err != nil {
+		if err := lk.lookupMany(kernel.Exec{Ctx: ctx}, c, rows, codes); err != nil {
 			return nil, err
 		}
 		return codes, nil

@@ -51,14 +51,14 @@ func LookupBench(cfg Config) []ScanBenchEntry {
 			gatherAsc    func()
 		}{
 			{"ByteSlice",
-				func() { kernel.LookupMany(bs, random, got) },
-				func() { kernel.LookupMany(bs, asc, got) }},
+				func() { must(kernel.LookupMany(kernel.Exec{}, bs, random, got)) },
+				func() { must(kernel.LookupMany(kernel.Exec{}, bs, asc, got)) }},
 			{"HBP",
-				func() { kernel.LookupManyHBP(h, random, got) },
-				func() { kernel.LookupManyHBP(h, asc, got) }},
+				func() { must(kernel.LookupManyHBP(kernel.Exec{}, h, random, got)) },
+				func() { must(kernel.LookupManyHBP(kernel.Exec{}, h, asc, got)) }},
 			{"ByteSliceC",
-				func() { kernel.LookupManyCompressed(cc, asc, got) },
-				func() { kernel.LookupManyCompressed(cc, asc, got) }},
+				func() { must(kernel.LookupManyCompressed(kernel.Exec{}, cc, asc, got)) },
+				func() { must(kernel.LookupManyCompressed(kernel.Exec{}, cc, asc, got)) }},
 		}
 		e := simd.New(perf.NewProfileNoCache())
 		for _, arm := range arms {

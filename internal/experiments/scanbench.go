@@ -74,7 +74,7 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 		ns := measureScan(func() { b.Scan(e, p, out) })
 		res.Results = append(res.Results, entry(k, "engine", 1, ns, cfg.N))
 
-		ns = measureScan(func() { kernel.Scan(b, p, out) })
+		ns = measureScan(func() { must1(kernel.Scan(kernel.Exec{}, b, p, out)) })
 		res.Results = append(res.Results, entry(k, "native", 1, ns, cfg.N))
 
 		for _, w := range workerCounts {
@@ -82,7 +82,7 @@ func ScanBench(cfg Config, workerCounts []int) *ScanBenchResult {
 				continue
 			}
 			w := w
-			ns = measureScan(func() { kernel.ParallelScan(b, p, w, out) })
+			ns = measureScan(func() { must1(kernel.Scan(kernel.Exec{Workers: w}, b, p, out)) })
 			res.Results = append(res.Results, entry(k, "native", w, ns, cfg.N))
 		}
 	}
@@ -101,9 +101,8 @@ func entry(k int, path string, workers int, ns float64, n int) ScanBenchEntry {
 
 // ZonedScanBench measures zone-map pruning on the acceptance scenario: a
 // 12-bit column at 1% selectivity, sorted and clustered distributions,
-// plain ParallelScan versus ParallelScanZoned at each worker count (plus
-// serial). Both paths scan the same zone-mapped column, so the delta is
-// purely the pruning.
+// the same codes scanned without and with zone maps at each worker count
+// (plus serial), so the delta is purely the pruning.
 func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	const (
 		k   = 12
@@ -119,18 +118,19 @@ func ZonedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 	}
 	var out []ScanBenchEntry
 	for _, s := range sets {
+		plain := core.New(s.codes, k, nil)
 		b := core.New(s.codes, k, nil)
 		b.BuildZoneMaps()
 		p := constFor(s.codes, k, layout.Lt, sel)
 		res := bitvec.New(cfg.N)
 		for _, w := range append([]int{1}, workerCounts...) {
-			w := w
-			ns := measureScan(func() { kernel.ParallelScan(b, p, w, res) })
+			x := kernel.Exec{Workers: w}
+			ns := measureScan(func() { must1(kernel.Scan(x, plain, p, res)) })
 			e := entry(k, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "scan"
 			out = append(out, e)
 
-			ns = measureScan(func() { kernel.ParallelScanZoned(b, p, w, res) })
+			ns = measureScan(func() { must1(kernel.Scan(x, b, p, res)) })
 			e = entry(k, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "scan_zoned"
 			out = append(out, e)
@@ -171,20 +171,16 @@ func AggBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 		}
 		p := constFor(s.codes, kf, layout.Lt, sel)
 		for _, w := range append([]int{1}, workerCounts...) {
-			w := w
+			x := kernel.Exec{Workers: w}
 			ns := measureScan(func() {
-				if s.zoned {
-					kernel.ParallelScanZoned(f, p, w, mask)
-				} else {
-					kernel.ParallelScan(f, p, w, mask)
-				}
-				kernel.ParallelSum(v, mask, w)
+				must1(kernel.Scan(x, f, p, mask))
+				must2(kernel.Sum(x, v, mask))
 			})
 			e := entry(kv, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "agg_two_pass"
 			out = append(out, e)
 
-			ns = measureScan(func() { kernel.ScanSum(f, p, v, w) })
+			ns = measureScan(func() { must2(kernel.ScanSum(x, f, p, v)) })
 			e = entry(kv, "native", w, ns, cfg.N)
 			e.Data, e.Mode = s.name, "agg_fused"
 			out = append(out, e)
@@ -220,13 +216,13 @@ func CompressedScanBench(cfg Config, workerCounts []int) []ScanBenchEntry {
 		p := constFor(s.codes, k, layout.Lt, sel)
 		res := bitvec.New(cfg.N)
 		for _, w := range append([]int{1}, workerCounts...) {
-			w := w
-			ns := measureScan(func() { kernel.ParallelScan(raw, p, w, res) })
+			x := kernel.Exec{Workers: w}
+			ns := measureScan(func() { must1(kernel.Scan(x, raw, p, res)) })
 			e := entry(k, "native", w, ns, cfg.N)
 			e.Data, e.Mode, e.Compression = s.name, "scan", "raw"
 			out = append(out, e)
 
-			ns = measureScan(func() { kernel.ParallelScanCompressed(cc, p, w, res) })
+			ns = measureScan(func() { must1(kernel.ScanCompressed(x, cc, p, res)) })
 			e = entry(k, "native", w, ns, cfg.N)
 			e.Data, e.Mode, e.Compression = s.name, "scan", "compressed"
 			out = append(out, e)
@@ -255,11 +251,11 @@ func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry
 	acc, cur := bitvec.New(cfg.N), bitvec.New(cfg.N)
 	var out []ScanBenchEntry
 	for _, w := range append([]int{1}, workerCounts...) {
-		w := w
+		x := kernel.Exec{Workers: w}
 		ns := measureScan(func() {
-			kernel.ParallelScan(cols[0], preds[0], w, acc)
+			must1(kernel.Scan(x, cols[0], preds[0], acc))
 			for i := 1; i < npreds; i++ {
-				kernel.ParallelScanPipelined(cols[i], preds[i], acc, false, w, cur)
+				must1(kernel.ScanPipelined(x, cols[i], preds[i], acc, false, cur))
 				acc, cur = cur, acc
 			}
 		})
@@ -267,13 +263,26 @@ func MultiPredBench(cfg Config, npreds int, workerCounts []int) []ScanBenchEntry
 		e.Mode, e.Preds = "multi_column_first", npreds
 		out = append(out, e)
 
-		ns = measureScan(func() { kernel.ParallelScanMulti(cols, preds, false, w, acc) })
+		ns = measureScan(func() { must1(kernel.ScanMulti(x, cols, preds, false, acc)) })
 		e = entry(k, "native", w, ns, cfg.N)
 		e.Mode, e.Preds = "multi_pred_first", npreds
 		out = append(out, e)
 	}
 	return out
 }
+
+// must aborts a benchmark on a kernel error. Benchmarks run kernels
+// without a context, so the only possible error is a recovered worker
+// panic, which means the measurement is void.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+func must1[T any](_ T, err error) { must(err) }
+
+func must2[T, U any](_ T, _ U, err error) { must(err) }
 
 // measureScan times f with benchmark-style adaptive repetition: doubling
 // rounds until one round runs at least 50ms, then the minimum ns per call

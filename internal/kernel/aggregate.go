@@ -14,7 +14,7 @@ import (
 //   - Sum works slice-wise: Σ codes = (Σⱼ 256^(nb−1−j) · sliceSumⱼ) >> pad,
 //     and a slice's bytes are summed 8 at a time by splitting each word
 //     into even/odd bytes and accumulating four 16-bit SWAR lanes.
-//   - Min/Max stitch the codes of the selected rows directly from the
+//   - Extreme stitches the codes of the selected rows directly from the
 //     byte slices (the selection is usually sparse after a filter).
 //
 // All kernels honour an optional selection mask and ignore the padding
@@ -53,7 +53,7 @@ func pairSum(w uint64) uint64 {
 // stays below 65536, so partial sums are folded out every 124 words.
 const foldEvery = 124
 
-// SumRange returns the padded byte-weighted sum over segments
+// sumRange returns the padded byte-weighted sum over segments
 // [segLo, segHi): Σ (code << pad) for the selected rows. Range partials
 // add, and the caller removes the shared pad shift once at the end.
 //
@@ -96,17 +96,28 @@ func sumRange(b *core.ByteSlice, mask *bitvec.Vector, segLo, segHi int) uint64 {
 }
 
 // Sum returns the sum of the codes of the rows set in mask (every row when
-// mask is nil) and the number of rows aggregated.
-func Sum(b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int) {
-	return ParallelSum(b, mask, 1)
-}
-
-// ParallelSum is Sum with the segment range fanned out across workers,
-// merging the per-chunk partial sums. workers <= 1 runs serially.
-func ParallelSum(b *core.ByteSlice, mask *bitvec.Vector, workers int) (sum uint64, count int) {
-	sum, count, err := ParallelSumCtx(nil, b, mask, workers)
-	mustCtx(err)
-	return sum, count
+// mask is nil) and the number of rows aggregated. Aggregates have no
+// early stop, so a Stage is charged every byte slice of every segment.
+func Sum(x Exec, b *core.ByteSlice, mask *bitvec.Vector) (sum uint64, count int, err error) {
+	if mask != nil && mask.Len() != b.Len() {
+		panic("kernel: aggregate mask length mismatch")
+	}
+	count = b.Len()
+	if mask != nil {
+		count = mask.Count()
+	}
+	pad := uint(8*b.NumSlices() - b.Width())
+	segBytes := int64(core.SegmentSize * b.NumSlices())
+	padded, err := parallelRanges(x, b.Segments(), func(lo, hi int) uint64 {
+		if x.Stage != nil {
+			x.Stage.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		}
+		return sumRange(b, mask, lo, hi)
+	}, addUint64)
+	if err != nil {
+		return 0, 0, err
+	}
+	return padded >> pad, count, nil
 }
 
 // extremeRange scans segments [segLo, segHi) for the extreme code among
@@ -150,24 +161,24 @@ func extremeRange(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, segLo, seg
 	return best, found
 }
 
-// Min returns the smallest code among the rows set in mask (all rows when
-// nil); ok is false when no row is selected.
-func Min(b *core.ByteSlice, mask *bitvec.Vector) (uint32, bool) {
-	return ParallelExtreme(b, mask, true, 1)
-}
-
-// Max returns the largest code among the rows set in mask (all rows when
-// nil); ok is false when no row is selected.
-func Max(b *core.ByteSlice, mask *bitvec.Vector) (uint32, bool) {
-	return ParallelExtreme(b, mask, false, 1)
-}
-
-// ParallelExtreme computes Min (isMin) or Max with the segment range
-// chunked across workers and the per-chunk extremes merged.
-func ParallelExtreme(b *core.ByteSlice, mask *bitvec.Vector, isMin bool, workers int) (uint32, bool) {
-	v, ok, err := ParallelExtremeCtx(nil, b, mask, isMin, workers)
-	mustCtx(err)
-	return v, ok
+// Extreme returns the smallest (isMin) or largest code among the rows set
+// in mask (all rows when nil); ok is false when no row is selected.
+func Extreme(x Exec, b *core.ByteSlice, mask *bitvec.Vector, isMin bool) (v uint32, ok bool, err error) {
+	if mask != nil && mask.Len() != b.Len() {
+		panic("kernel: aggregate mask length mismatch")
+	}
+	segBytes := int64(core.SegmentSize * b.NumSlices())
+	best, err := parallelRanges(x, b.Segments(), func(lo, hi int) extPartial {
+		if x.Stage != nil {
+			x.Stage.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		}
+		v, ok := extremeRange(b, mask, isMin, lo, hi)
+		return extPartial{v, ok}
+	}, mergeExtreme(isMin))
+	if err != nil {
+		return 0, false, err
+	}
+	return best.v, best.ok, nil
 }
 
 // Lookup stitches code i back together from its byte slices — the native
@@ -184,11 +195,20 @@ func Lookup(b *core.ByteSlice, i int) uint32 {
 }
 
 // LookupMany stitches the codes of rows into out (len(out) must equal
-// len(rows)); the projection fast path. Disjoint row ranges may be filled
-// concurrently.
+// len(rows)): the projection fast path. A Stage is charged one byte per
+// byte slice per row.
+func LookupMany(x Exec, b *core.ByteSlice, rows []int32, out []uint32) error {
+	nb := int64(b.NumSlices())
+	return lookupRows(x, rows, out, func(rows []int32, out []uint32) int64 {
+		lookupRange(b, rows, out)
+		return int64(len(rows)) * nb
+	})
+}
+
+// lookupRange stitches the codes of rows into out.
 //
 //bsvet:hotloop
-func LookupMany(b *core.ByteSlice, rows []int32, out []uint32) {
+func lookupRange(b *core.ByteSlice, rows []int32, out []uint32) {
 	nb := b.NumSlices()
 	pad := uint(8*nb - b.Width())
 	var slices [4][]byte

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"context"
 	"encoding/binary"
 	"math/bits"
 
@@ -118,7 +117,7 @@ func decodePlanes(ctl, data []byte, ref uint32, delta bool, nb int, pad uint, pl
 // histogram; zone-resolved segments count as depth 0 and the no-decode
 // uniform path as depth 1, mirroring the raw zoned scan's accounting.
 //
-// Like ScanRange, the prepare work (scanner construction, stream headers)
+// Like Scan, the prepare work (scanner construction, stream headers)
 // happens here, outside the annotated block loop.
 func scanCompressedRange(c *compress.Column, p layout.Predicate, blo, bhi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned int, bytes int64) {
 	nb := c.NumSlices()
@@ -191,41 +190,22 @@ func (sc *scanner) scanCompressedBlocks(p layout.Predicate, ctl, data []byte, of
 	return pruned, bytes
 }
 
-// ParallelScanCompressed evaluates p over a compressed column with the
-// given number of workers, fusing decompression into the scan: pruned and
-// uniform blocks never decode, and decoded blocks live only in a worker's
-// scratch buffer. It returns the number of segments resolved from block
+// ScanCompressed evaluates p over a compressed column, fusing
+// decompression into the scan: pruned and uniform blocks never decode, and
+// decoded blocks live only in a worker's scratch buffer. Work units are
+// 512-code blocks. It returns the number of segments resolved from block
 // metadata alone. out must have length c.Len() and is overwritten.
-func ParallelScanCompressed(c *compress.Column, p layout.Predicate, workers int, out *bitvec.Vector) int {
-	pruned, err := ParallelScanCompressedCtx(nil, c, p, workers, out)
-	mustCtx(err)
-	return pruned
-}
-
-// ParallelScanCompressedCtx is ParallelScanCompressed under ctx:
-// cancellation is observed at block-batch granularity and worker panics
-// return as *PanicError.
-func ParallelScanCompressedCtx(ctx context.Context, c *compress.Column, p layout.Predicate, workers int, out *bitvec.Vector) (int, error) {
-	return ParallelScanCompressedObs(ctx, c, p, workers, out, nil)
-}
-
-// ParallelScanCompressedObs is ParallelScanCompressedCtx with per-stage
-// statistics.
-func ParallelScanCompressedObs(ctx context.Context, c *compress.Column, p layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
+func ScanCompressed(x Exec, c *compress.Column, p layout.Predicate, out *bitvec.Vector) (pruned int, err error) {
 	layout.CheckPredicate(p, c.Width())
 	if out.Len() != c.Len() {
 		panic("kernel: result vector length mismatch")
 	}
-	return parallelRanges(ctx, c.Blocks(), workers, st, func(lo, hi int) int {
-		if st == nil {
-			pruned, _ := scanCompressedRange(c, p, lo, hi, out, nil)
-			return pruned
-		}
-		var dh obs.DepthCounts
-		pruned, bytes := scanCompressedRange(c, p, lo, hi, out, &dh)
-		st.AddDepths(&dh)
-		st.AddBytes(bytes)
-		return pruned
+	return parallelRanges(x, c.Blocks(), func(lo, hi int) int {
+		var d obs.DepthCounts
+		dh := x.depths(&d)
+		n, bytes := scanCompressedRange(c, p, lo, hi, out, dh)
+		x.flushDepths(dh, bytes)
+		return n
 	}, addInt)
 }
 
@@ -274,23 +254,10 @@ func sumCompressedRange(c *compress.Column, mask *bitvec.Vector, blo, bhi int) (
 	return sum, segs, bytes
 }
 
-// ParallelSumCompressed sums a compressed column's codes (restricted to
-// mask when non-nil) and returns the contributing row count, decoding
-// only blocks with live rows.
-func ParallelSumCompressed(c *compress.Column, mask *bitvec.Vector, workers int) (uint64, int) {
-	sum, count, err := ParallelSumCompressedCtx(nil, c, mask, workers)
-	mustCtx(err)
-	return sum, count
-}
-
-// ParallelSumCompressedCtx is ParallelSumCompressed under ctx.
-func ParallelSumCompressedCtx(ctx context.Context, c *compress.Column, mask *bitvec.Vector, workers int) (sum uint64, count int, err error) {
-	return ParallelSumCompressedObs(ctx, c, mask, workers, nil)
-}
-
-// ParallelSumCompressedObs is ParallelSumCompressedCtx with per-stage
-// statistics.
-func ParallelSumCompressedObs(ctx context.Context, c *compress.Column, mask *bitvec.Vector, workers int, st *obs.Stage) (sum uint64, count int, err error) {
+// SumCompressed sums a compressed column's codes (restricted to mask when
+// non-nil) and returns the contributing row count, decoding only blocks
+// with live rows.
+func SumCompressed(x Exec, c *compress.Column, mask *bitvec.Vector) (sum uint64, count int, err error) {
 	if mask != nil && mask.Len() != c.Len() {
 		panic("kernel: aggregate mask length mismatch")
 	}
@@ -298,13 +265,13 @@ func ParallelSumCompressedObs(ctx context.Context, c *compress.Column, mask *bit
 	if mask != nil {
 		count = mask.Count()
 	}
-	sum, err = parallelRanges(ctx, c.Blocks(), workers, st, func(lo, hi int) uint64 {
+	sum, err = parallelRanges(x, c.Blocks(), func(lo, hi int) uint64 {
 		s, segs, bytes := sumCompressedRange(c, mask, lo, hi)
-		if st != nil {
-			st.AddSegments(segs, bytes)
+		if x.Stage != nil {
+			x.Stage.AddSegments(segs, bytes)
 		}
 		return s
-	}, func(a, b uint64) uint64 { return a + b })
+	}, addUint64)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -312,7 +279,7 @@ func ParallelSumCompressedObs(ctx context.Context, c *compress.Column, mask *bit
 }
 
 // extremeCompressedRange finds the min/max decoded code among mask's live
-// rows in blocks [blo, bhi). A block whose exact bounds cannot improve
+// rows (every row when mask is nil) in blocks [blo, bhi). A block whose exact bounds cannot improve
 // the running extreme is skipped without reading its mask words or
 // streams.
 func extremeCompressedRange(c *compress.Column, mask *bitvec.Vector, isMin bool, blo, bhi int) (best uint32, ok bool, segs, bytes int64) {
@@ -322,6 +289,13 @@ func extremeCompressedRange(c *compress.Column, mask *bitvec.Vector, isMin bool,
 	for b := blo; b < bhi; b++ {
 		bytes += blockMetaBytes
 		if ok && ((isMin && mins[b] >= best) || (!isMin && maxs[b] <= best)) {
+			continue
+		}
+		if mask == nil {
+			// Every row is live, so the exact bound is the block's extreme.
+			if best, ok = maxs[b], true; isMin {
+				best = mins[b]
+			}
 			continue
 		}
 		base := b * compress.BlockCodes
@@ -355,78 +329,50 @@ func extremeCompressedRange(c *compress.Column, mask *bitvec.Vector, isMin bool,
 	return best, ok, segs, bytes
 }
 
-// ParallelExtremeCompressed returns the min (isMin) or max code of a
-// compressed column restricted to mask. A nil mask answers from the exact
-// per-block bounds without decoding anything; ok is false when no row
-// qualifies.
-func ParallelExtremeCompressed(c *compress.Column, mask *bitvec.Vector, isMin bool, workers int) (uint32, bool) {
-	v, ok, err := ParallelExtremeCompressedCtx(nil, c, mask, isMin, workers)
-	mustCtx(err)
-	return v, ok
-}
-
-// ParallelExtremeCompressedCtx is ParallelExtremeCompressed under ctx.
-func ParallelExtremeCompressedCtx(ctx context.Context, c *compress.Column, mask *bitvec.Vector, isMin bool, workers int) (uint32, bool, error) {
-	return ParallelExtremeCompressedObs(ctx, c, mask, isMin, workers, nil)
-}
-
-// ParallelExtremeCompressedObs is ParallelExtremeCompressedCtx with
-// per-stage statistics.
-func ParallelExtremeCompressedObs(ctx context.Context, c *compress.Column, mask *bitvec.Vector, isMin bool, workers int, st *obs.Stage) (uint32, bool, error) {
+// ExtremeCompressed returns the min (isMin) or max code of a compressed
+// column restricted to mask; ok is false when no row qualifies. A nil
+// mask answers from the exact per-block bounds without decoding anything,
+// on the calling goroutine: the walk is too short to fan out.
+func ExtremeCompressed(x Exec, c *compress.Column, mask *bitvec.Vector, isMin bool) (best uint32, ok bool, err error) {
 	if mask != nil && mask.Len() != c.Len() {
 		panic("kernel: aggregate mask length mismatch")
 	}
 	if mask == nil {
-		if st != nil {
-			st.SetWorkers(1)
-			st.AddBytes(int64(c.Blocks()) * blockMetaBytes)
-		}
-		bounds := c.Maxs()
-		if isMin {
-			bounds = c.Mins()
-		}
-		best, ok := uint32(0), false
-		for _, v := range bounds {
-			if !ok || isMin == (v < best) {
-				best, ok = v, true
-			}
-		}
-		return best, ok, nil
+		x.Workers = 1
 	}
-	best, err := parallelRanges(ctx, c.Blocks(), workers, st, func(lo, hi int) extPartial {
+	res, err := parallelRanges(x, c.Blocks(), func(lo, hi int) extPartial {
 		v, ok, segs, bytes := extremeCompressedRange(c, mask, isMin, lo, hi)
-		if st != nil {
-			st.AddSegments(segs, bytes)
+		if x.Stage != nil {
+			x.Stage.AddSegments(segs, bytes)
 		}
 		return extPartial{v, ok}
 	}, mergeExtreme(isMin))
 	if err != nil {
 		return 0, false, err
 	}
-	return best.v, best.ok, nil
+	return res.v, res.ok, nil
 }
 
 // LookupManyCompressed stitches the codes of the given rows out of a
 // compressed column, decoding each 512-code block at most once per visit
-// into a stack buffer (rows in ascending order decode every block exactly
-// once). It returns the number of compressed bytes touched — the facade
-// feeds this to the projection stage's byte counter.
-func LookupManyCompressed(c *compress.Column, rows []int32, out []uint32) int64 {
-	if len(rows) != len(out) {
-		panic("kernel: LookupManyCompressed rows/out length mismatch")
-	}
-	var buf [compress.BlockCodes]uint32
-	offs := c.DataOffs()
-	last := -1
-	var bytes int64
-	for i, r := range rows {
-		b := int(r) / compress.BlockCodes
-		if b != last {
-			c.DecodeBlock(b, &buf)
-			last = b
-			bytes += int64(compress.CtlBlockBytes) + int64(offs[b+1]-offs[b])
+// into a stack buffer (rows in ascending order decode every block about
+// once; a block straddling a batch boundary decodes once per batch). A
+// Stage is charged the compressed bytes decoded.
+func LookupManyCompressed(x Exec, c *compress.Column, rows []int32, out []uint32) error {
+	return lookupRows(x, rows, out, func(rows []int32, out []uint32) int64 {
+		var buf [compress.BlockCodes]uint32
+		offs := c.DataOffs()
+		last := -1
+		var bytes int64
+		for i, r := range rows {
+			b := int(r) / compress.BlockCodes
+			if b != last {
+				c.DecodeBlock(b, &buf)
+				last = b
+				bytes += int64(compress.CtlBlockBytes) + int64(offs[b+1]-offs[b])
+			}
+			out[i] = buf[int(r)%compress.BlockCodes]
 		}
-		out[i] = buf[int(r)%compress.BlockCodes]
-	}
-	return bytes
+		return bytes
+	})
 }

@@ -8,31 +8,53 @@ import (
 	"sync/atomic"
 	"time"
 
-	"byteslice/internal/bitvec"
 	"byteslice/internal/core"
-	"byteslice/internal/layout"
 	"byteslice/internal/obs"
 )
 
-// Fault-isolated kernel execution. Every *Ctx entry point in this file runs
-// the corresponding kernel under two guarantees the bare fan-out loops do
-// not give:
+// Exec says how one kernel call runs. Every exported fan-out kernel takes
+// one and runs under the same guarantees:
 //
-//   - Cancellation: the segment range is processed in batches of
-//     batchSegments; between batches every worker observes the context, so
-//     a cancelled query stops within one batch (~8K rows per worker)
-//     instead of running the column to completion.
+//   - Batching and cancellation: the unit range (segments, blocks, banks or
+//     rows) is processed in batches of batchSegments units; between
+//     batches every worker observes Ctx, so a cancelled query stops within
+//     one batch (~8K rows per worker) instead of running to completion.
 //   - Panic isolation: each batch runs under recover. A panic inside a
-//     kernel — a latent bug, a corrupt layout — becomes a *PanicError
-//     naming the failing segment range and is returned as an error from
-//     the calling goroutine, instead of killing the process from a worker
-//     goroutine no caller can defend.
+//     kernel (a latent bug, a corrupt layout) becomes a *PanicError naming
+//     the failing unit range, returned from the calling goroutine instead
+//     of killing the process from a worker goroutine no caller can defend.
+//   - Statistics: with a non-nil Stage each batch records its wall time,
+//     and the kernel adds its segment, depth, byte and row counts.
 //
 // The first failure wins; the other workers drain at their next batch
-// boundary. A nil context means "never cancelled" — the legacy exported
-// kernels (ParallelScan, ...) route through this file with a nil context,
-// so they too isolate worker panics (re-panicking on the caller's
-// goroutine, where a defer can catch them).
+// boundary. The zero Exec runs serially on the calling goroutine, is never
+// cancelled and records nothing.
+type Exec struct {
+	Ctx     context.Context // nil: never cancelled
+	Workers int             // <= 1: serial on the calling goroutine
+	Stage   *obs.Stage      // nil: no statistics
+}
+
+// depths returns d when the call records statistics and nil otherwise, so
+// range loops skip the per-segment histogram increment when stats are off.
+func (x Exec) depths(d *obs.DepthCounts) *obs.DepthCounts {
+	if x.Stage == nil {
+		return nil
+	}
+	return d
+}
+
+// flushDepths merges a batch's depth histogram (nil when stats are off)
+// plus extra metadata bytes into the Stage.
+func (x Exec) flushDepths(dh *obs.DepthCounts, extraBytes int64) {
+	if dh == nil {
+		return
+	}
+	x.Stage.AddDepths(dh)
+	if extraBytes != 0 {
+		x.Stage.AddBytes(extraBytes)
+	}
+}
 
 // batchSegments is the cancellation granularity: 256 segments = 8192 codes
 // per check, coarse enough to stay invisible in scan throughput and fine
@@ -53,9 +75,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("kernel: worker panic in segments [%d,%d): %v", e.SegLo, e.SegHi, e.Value)
 }
 
-// exec coordinates one fan-out: the first error (cancellation or panic)
-// stops every worker at its next batch boundary.
-type exec struct {
+// fanout coordinates one call's workers: the first error (cancellation or
+// panic) stops every worker at its next batch boundary.
+type fanout struct {
 	ctx     context.Context
 	st      *obs.Stage // nil = observability disabled
 	stopped atomic.Bool
@@ -63,7 +85,7 @@ type exec struct {
 	err     error
 }
 
-func (x *exec) fail(err error) {
+func (x *fanout) fail(err error) {
 	x.mu.Lock()
 	if x.err == nil {
 		x.err = err
@@ -74,7 +96,7 @@ func (x *exec) fail(err error) {
 
 // stop reports whether workers should cease scheduling new batches,
 // folding a freshly-cancelled context into the recorded error.
-func (x *exec) stop() bool {
+func (x *fanout) stop() bool {
 	if x.stopped.Load() {
 		return true
 	}
@@ -85,7 +107,7 @@ func (x *exec) stop() bool {
 	return false
 }
 
-func (x *exec) finish() error {
+func (x *fanout) finish() error {
 	x.stop() // fold in a cancellation that raced the last batch
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -111,7 +133,7 @@ var BatchHook func(segLo, segHi int)
 
 // runRange executes fn over [lo, hi) in cancellation batches with panic
 // isolation, merging per-batch results via combine.
-func runRange[T any](x *exec, lo, hi int, fn func(segLo, segHi int) T, combine func(T, T) T) T {
+func runRange[T any](x *fanout, lo, hi int, fn func(segLo, segHi int) T, combine func(T, T) T) T {
 	run := fn
 	if hook := BatchHook; hook != nil {
 		run = func(segLo, segHi int) T {
@@ -147,47 +169,47 @@ func runRange[T any](x *exec, lo, hi int, fn func(segLo, segHi int) T, combine f
 	return acc
 }
 
-// parallelRanges partitions [0, segs) into even-aligned chunks across
-// workers (inline when one suffices), running fn batch-wise under the
-// context with panic isolation and merging results via combine. On error
-// the zero T is returned: partial results of a failed fan-out are
-// meaningless because an arbitrary suffix of the work never ran.
-func parallelRanges[T any](ctx context.Context, segs, workers int, st *obs.Stage, fn func(segLo, segHi int) T, combine func(T, T) T) (T, error) {
-	x := &exec{ctx: ctx, st: st}
+// parallelRanges partitions [0, units) into even-aligned chunks across
+// x.Workers (inline when one suffices), running fn batch-wise under x with
+// panic isolation and merging results via combine. On error the zero T is
+// returned: partial results of a failed fan-out are meaningless because an
+// arbitrary suffix of the work never ran.
+func parallelRanges[T any](x Exec, units int, fn func(lo, hi int) T, combine func(T, T) T) (T, error) {
+	f := &fanout{ctx: x.Ctx, st: x.Stage}
 	var zero T
-	if workers > segs {
-		workers = segs
+	workers := x.Workers
+	if workers > units {
+		workers = units
 	}
-	if st != nil {
-		if workers <= 1 {
-			st.SetWorkers(1)
-		} else {
-			st.SetWorkers(workers)
-		}
+	if workers < 1 {
+		workers = 1
 	}
-	if workers <= 1 {
-		v := runRange(x, 0, segs, fn, combine)
-		if err := x.finish(); err != nil {
+	if x.Stage != nil {
+		x.Stage.SetWorkers(workers)
+	}
+	if workers == 1 {
+		v := runRange(f, 0, units, fn, combine)
+		if err := f.finish(); err != nil {
 			return zero, err
 		}
 		return v, nil
 	}
-	chunk := core.ChunkEven(segs, workers)
-	partials := make([]T, (segs+chunk-1)/chunk)
+	chunk := core.ChunkEven(units, workers)
+	partials := make([]T, (units+chunk-1)/chunk)
 	var wg sync.WaitGroup
-	for i, lo := 0, 0; lo < segs; i, lo = i+1, lo+chunk {
+	for i, lo := 0, 0; lo < units; i, lo = i+1, lo+chunk {
 		hi := lo + chunk
-		if hi > segs {
-			hi = segs
+		if hi > units {
+			hi = units
 		}
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
-			partials[i] = runRange(x, lo, hi, fn, combine)
+			partials[i] = runRange(f, lo, hi, fn, combine)
 		}(i, lo, hi)
 	}
 	wg.Wait()
-	if err := x.finish(); err != nil {
+	if err := f.finish(); err != nil {
 		return zero, err
 	}
 	acc := partials[0]
@@ -197,51 +219,31 @@ func parallelRanges[T any](ctx context.Context, segs, workers int, st *obs.Stage
 	return acc, nil
 }
 
+// lookupRows runs a row-gather kernel over rows under x. The rows are cut
+// into units of core.SegmentSize, so batches, cancellation points and
+// worker chunks follow the scan kernels' granularity; gather fills out
+// from rows (equal lengths) and returns the column bytes it read.
+func lookupRows(x Exec, rows []int32, out []uint32, gather func(rows []int32, out []uint32) int64) error {
+	if len(out) != len(rows) {
+		panic("kernel: LookupMany output length mismatch")
+	}
+	units := (len(rows) + core.SegmentSize - 1) / core.SegmentSize
+	_, err := parallelRanges(x, units, func(lo, hi int) struct{} {
+		lo, hi = lo*core.SegmentSize, min(hi*core.SegmentSize, len(rows))
+		bytes := gather(rows[lo:hi], out[lo:hi])
+		if x.Stage != nil {
+			x.Stage.AddRows(int64(hi-lo), bytes)
+		}
+		return struct{}{}
+	}, dropUnit)
+	return err
+}
+
 func addInt(a, b int) int { return a + b }
 
-// mustCtx adapts a Ctx kernel for the legacy context-free API: with a nil
-// context the only possible error is a recovered worker panic, which is
-// re-raised — on the caller's goroutine, where a defer can still catch it,
-// instead of an unrecoverable worker-goroutine crash.
-func mustCtx(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
+func addUint64(a, b uint64) uint64 { return a + b }
 
 func dropUnit(a, _ struct{}) struct{} { return a }
-
-// ParallelScanCtx is ParallelScan under ctx: cancellation is observed at
-// segment-batch granularity and worker panics return as *PanicError. A nil
-// ctx disables cancellation but keeps panic isolation.
-func ParallelScanCtx(ctx context.Context, b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector) error {
-	return ParallelScanObs(ctx, b, p, workers, out, nil)
-}
-
-// ParallelScanZonedCtx is ParallelScanZoned under ctx.
-func ParallelScanZonedCtx(ctx context.Context, b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector) (int, error) {
-	return ParallelScanZonedObs(ctx, b, p, workers, out, nil)
-}
-
-// ParallelScanPipelinedCtx is ParallelScanPipelined under ctx.
-func ParallelScanPipelinedCtx(ctx context.Context, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector) error {
-	return ParallelScanPipelinedObs(ctx, b, p, prev, negate, workers, out, nil)
-}
-
-// ParallelScanPipelinedZonedCtx is ParallelScanPipelinedZoned under ctx.
-func ParallelScanPipelinedZonedCtx(ctx context.Context, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector) (int, error) {
-	return ParallelScanPipelinedZonedObs(ctx, b, p, prev, negate, workers, out, nil)
-}
-
-// ParallelScanMultiCtx is ParallelScanMulti under ctx.
-func ParallelScanMultiCtx(ctx context.Context, cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, workers int, out *bitvec.Vector) (int, error) {
-	return ParallelScanMultiObs(ctx, cols, preds, disjunct, workers, out, nil)
-}
-
-// ParallelSumCtx is ParallelSum under ctx.
-func ParallelSumCtx(ctx context.Context, b *core.ByteSlice, mask *bitvec.Vector, workers int) (sum uint64, count int, err error) {
-	return ParallelSumObs(ctx, b, mask, workers, nil)
-}
 
 // extPartial carries one range's extreme candidate through the merge.
 type extPartial struct {
@@ -262,26 +264,4 @@ func mergeExtreme(isMin bool) func(a, b extPartial) extPartial {
 			return a
 		}
 	}
-}
-
-// ParallelExtremeCtx is ParallelExtreme under ctx.
-func ParallelExtremeCtx(ctx context.Context, b *core.ByteSlice, mask *bitvec.Vector, isMin bool, workers int) (uint32, bool, error) {
-	return ParallelExtremeObs(ctx, b, mask, isMin, workers, nil)
-}
-
-// ScanSumCtx is ScanSum under ctx. Each batch prepares its own scanner —
-// a few broadcasts per 8K rows, invisible next to the scan itself.
-func ScanSumCtx(ctx context.Context, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, workers int) (sum uint64, count int, err error) {
-	return ScanSumObs(ctx, f, p, v, workers, nil)
-}
-
-// ScanExtremeCtx is ScanExtreme under ctx.
-func ScanExtremeCtx(ctx context.Context, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, isMin bool, workers int) (uint32, bool, error) {
-	return ScanExtremeObs(ctx, f, p, v, isMin, workers, nil)
-}
-
-// LookupManyCtx is LookupMany chunked under ctx with panic isolation; rows
-// are processed in row batches of batchSegments·SegmentSize.
-func LookupManyCtx(ctx context.Context, b *core.ByteSlice, rows []int32, out []uint32) error {
-	return LookupManyObs(ctx, b, rows, out, nil)
 }

@@ -35,7 +35,7 @@ func segMask(sc *scanner, z *zoneInfo, seg int) uint32 {
 	case -1:
 		return 0
 	default:
-		r = sc.segment(seg)
+		r, _ = sc.segmentDepth(seg)
 	}
 	if rem := sc.n - seg*core.SegmentSize; rem < 32 {
 		r &= 1<<uint(rem) - 1
@@ -107,11 +107,32 @@ func scanSumRange(f *core.ByteSlice, sc *scanner, z *zoneInfo, v *core.ByteSlice
 // ScanSum evaluates p on f and sums v's codes over the matching rows in
 // one pass, returning (Σ codes, match count). It is the fused counterpart
 // of Scan + Sum and never materialises the full-table bit vector. Zone
-// maps on f are used when built.
-func ScanSum(f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, workers int) (sum uint64, count int) {
-	sum, count, err := ScanSumCtx(nil, f, p, v, workers)
-	mustCtx(err)
-	return sum, count
+// maps on f are used when built. A Stage is charged the filter-column
+// and value-column bytes of every segment. Each batch prepares its own
+// scanner: a few broadcasts per 8K rows, invisible next to the scan.
+func ScanSum(x Exec, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice) (sum uint64, count int, err error) {
+	if f.Len() != v.Len() {
+		panic("kernel: ScanSum columns have different lengths")
+	}
+	type part struct {
+		padded uint64
+		count  int
+	}
+	padv := uint(8*v.NumSlices() - v.Width())
+	segBytes := int64(core.SegmentSize * (f.NumSlices() + v.NumSlices()))
+	res, err := parallelRanges(x, f.Segments(), func(lo, hi int) part {
+		if x.Stage != nil {
+			x.Stage.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		}
+		sc := prepare(f, p)
+		z := zoneFor(f, p)
+		padded, n := scanSumRange(f, &sc, &z, v, lo, hi)
+		return part{padded, n}
+	}, func(a, b part) part { return part{a.padded + b.padded, a.count + b.count} })
+	if err != nil {
+		return 0, 0, err
+	}
+	return res.padded >> padv, res.count, nil
 }
 
 // scanExtremeRange fuses predicate evaluation on f with the extreme stitch
@@ -150,8 +171,22 @@ func scanExtremeRange(f *core.ByteSlice, sc *scanner, z *zoneInfo, v *core.ByteS
 // ScanExtreme evaluates p on f and returns the extreme (min when isMin,
 // else max) of v's codes over the matching rows in one pass; ok is false
 // when no row matches. Zone maps on f are used when built.
-func ScanExtreme(f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, isMin bool, workers int) (uint32, bool) {
-	v2, ok, err := ScanExtremeCtx(nil, f, p, v, isMin, workers)
-	mustCtx(err)
-	return v2, ok
+func ScanExtreme(x Exec, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, isMin bool) (best uint32, ok bool, err error) {
+	if f.Len() != v.Len() {
+		panic("kernel: ScanExtreme columns have different lengths")
+	}
+	segBytes := int64(core.SegmentSize * (f.NumSlices() + v.NumSlices()))
+	res, err := parallelRanges(x, f.Segments(), func(lo, hi int) extPartial {
+		if x.Stage != nil {
+			x.Stage.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
+		}
+		sc := prepare(f, p)
+		z := zoneFor(f, p)
+		val, ok := scanExtremeRange(f, &sc, &z, v, isMin, lo, hi)
+		return extPartial{val, ok}
+	}, mergeExtreme(isMin))
+	if err != nil {
+		return 0, false, err
+	}
+	return res.v, res.ok, nil
 }

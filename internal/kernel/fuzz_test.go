@@ -72,14 +72,14 @@ func FuzzNativeVsEngine(f *testing.F) {
 		b.Scan(layouttest.Engine(), p, want)
 		got := bitvec.New(n)
 		got.Fill()
-		Scan(b, p, got)
+		must1(Scan(Exec{}, b, p, got))
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d: native Scan differs from engine", k, p, n)
 		}
 		got.Fill()
-		ParallelScan(b, p, workers, got)
+		must1(Scan(par(workers), b, p, got))
 		if !got.Equal(want) {
-			t.Fatalf("k=%d %v n=%d workers=%d: native ParallelScan differs", k, p, n, workers)
+			t.Fatalf("k=%d %v n=%d workers=%d: native parallel Scan differs", k, p, n, workers)
 		}
 
 		// Pipelined scans, both polarities.
@@ -88,7 +88,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 			b.ScanPipelined(layouttest.Engine(), p, prev, negate, wantP)
 			gotP := bitvec.New(n)
 			gotP.Fill()
-			ParallelScanPipelined(b, p, prev, negate, workers, gotP)
+			must1(ScanPipelined(par(workers), b, p, prev, negate, gotP))
 			if !gotP.Equal(wantP) {
 				t.Fatalf("k=%d %v n=%d negate=%v workers=%d: native pipelined scan differs", k, p, n, negate, workers)
 			}
@@ -97,17 +97,17 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// Aggregates under a NULL-style mask (and unmasked) vs the engine.
 		for _, mask := range []*bitvec.Vector{nil, prev} {
 			wantSum, wantN := b.Sum(layouttest.Engine(), mask)
-			gotSum, gotN := ParallelSum(b, mask, workers)
+			gotSum, gotN := must2(Sum(par(workers), b, mask))
 			if gotSum != wantSum || gotN != wantN {
 				t.Fatalf("k=%d n=%d: native Sum = %d/%d, engine %d/%d", k, n, gotSum, gotN, wantSum, wantN)
 			}
 			wantMin, wantOK := b.Min(layouttest.Engine(), mask)
-			gotMin, gotOK := ParallelExtreme(b, mask, true, workers)
+			gotMin, gotOK := must2(Extreme(par(workers), b, mask, true))
 			if gotOK != wantOK || (wantOK && gotMin != wantMin) {
 				t.Fatalf("k=%d n=%d: native Min = %d/%v, engine %d/%v", k, n, gotMin, gotOK, wantMin, wantOK)
 			}
 			wantMax, wantOK2 := b.Max(layouttest.Engine(), mask)
-			gotMax, gotOK2 := ParallelExtreme(b, mask, false, workers)
+			gotMax, gotOK2 := must2(Extreme(par(workers), b, mask, false))
 			if gotOK2 != wantOK2 || (wantOK2 && gotMax != wantMax) {
 				t.Fatalf("k=%d n=%d: native Max = %d/%v, engine %d/%v", k, n, gotMax, gotOK2, wantMax, wantOK2)
 			}
@@ -118,7 +118,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 		bz := core.New(codes, k, nil)
 		bz.BuildZoneMaps()
 		got.Fill()
-		ParallelScanZoned(bz, p, workers, got)
+		must1(Scan(par(workers), bz, p, got))
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d workers=%d: zoned scan differs from engine", k, p, n, workers)
 		}
@@ -127,7 +127,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 			b.ScanPipelined(layouttest.Engine(), p, prev, negate, wantP)
 			gotP := bitvec.New(n)
 			gotP.Fill()
-			ParallelScanPipelinedZoned(bz, p, prev, negate, workers, gotP)
+			must1(ScanPipelined(par(workers), bz, p, prev, negate, gotP))
 			if !gotP.Equal(wantP) {
 				t.Fatalf("k=%d %v n=%d negate=%v workers=%d: zoned pipelined scan differs", k, p, n, negate, workers)
 			}
@@ -156,7 +156,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 			}
 			gotM := bitvec.New(n)
 			gotM.Fill()
-			ParallelScanMulti(cols, preds, disjunct, workers, gotM)
+			must1(ScanMulti(par(workers), cols, preds, disjunct, gotM))
 			if !gotM.Equal(wantM) {
 				t.Fatalf("k=%d %v/%v n=%d disjunct=%v workers=%d: multi scan differs", k, p, p2, n, disjunct, workers)
 			}
@@ -165,7 +165,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// Fused filter→aggregate vs the two-pass engine path (scan to a
 		// mask, then masked aggregates), with the zone-mapped filter column.
 		wantSumF, wantNF := b.Sum(layouttest.Engine(), want)
-		gotSumF, gotNF := ScanSum(bz, p, b, workers)
+		gotSumF, gotNF := must2(ScanSum(par(workers), bz, p, b))
 		if gotSumF != wantSumF || gotNF != wantNF {
 			t.Fatalf("k=%d %v n=%d: fused ScanSum = %d/%d, two-pass %d/%d", k, p, n, gotSumF, gotNF, wantSumF, wantNF)
 		}
@@ -177,7 +177,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 			} else {
 				wantX, wantOK = b.Max(layouttest.Engine(), want)
 			}
-			gotX, gotOK := ScanExtreme(bz, p, b, isMin, workers)
+			gotX, gotOK := must2(ScanExtreme(par(workers), bz, p, b, isMin))
 			if gotOK != wantOK || (wantOK && gotX != wantX) {
 				t.Fatalf("k=%d %v n=%d isMin=%v: fused extreme = %d/%v, two-pass %d/%v", k, p, n, isMin, gotX, gotOK, wantX, wantOK)
 			}
@@ -188,13 +188,13 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// mix of FOR, delta and uniform-1 blocks the codes produce.
 		cc := compress.New(codes, k, nil)
 		got.Fill()
-		ParallelScanCompressed(cc, p, workers, got)
+		must1(ScanCompressed(par(workers), cc, p, got))
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d workers=%d: compressed scan differs from engine", k, p, n, workers)
 		}
 		for _, mask := range []*bitvec.Vector{nil, prev} {
 			wantSum, wantN := b.Sum(layouttest.Engine(), mask)
-			gotSum, gotN := ParallelSumCompressed(cc, mask, workers)
+			gotSum, gotN := must2(SumCompressed(par(workers), cc, mask))
 			if gotSum != wantSum || gotN != wantN {
 				t.Fatalf("k=%d n=%d: compressed Sum = %d/%d, engine %d/%d", k, n, gotSum, gotN, wantSum, wantN)
 			}
@@ -206,7 +206,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 				} else {
 					wantX, wantOK = b.Max(layouttest.Engine(), mask)
 				}
-				gotX, gotOK := ParallelExtremeCompressed(cc, mask, isMin, workers)
+				gotX, gotOK := must2(ExtremeCompressed(par(workers), cc, mask, isMin))
 				if gotOK != wantOK || (wantOK && gotX != wantX) {
 					t.Fatalf("k=%d n=%d isMin=%v: compressed extreme = %d/%v, engine %d/%v", k, n, isMin, gotX, gotOK, wantX, wantOK)
 				}
@@ -217,7 +217,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 		// bit-identical to the engine results on the same codes.
 		hb := hbp.New(codes, k, nil)
 		got.Fill()
-		ParallelScanHBP(hb, p, workers, got)
+		must(ScanHBP(par(workers), hb, p, got))
 		if !got.Equal(want) {
 			t.Fatalf("k=%d %v n=%d workers=%d: HBP scan differs from engine", k, p, n, workers)
 		}
@@ -226,7 +226,7 @@ func FuzzNativeVsEngine(f *testing.F) {
 			hbRows[i] = int32(n - 1 - i)
 		}
 		hbOut := make([]uint32, n)
-		LookupManyHBP(hb, hbRows, hbOut)
+		must(LookupManyHBP(Exec{}, hb, hbRows, hbOut))
 		for x, r := range hbRows {
 			if hbOut[x] != codes[r] {
 				t.Fatalf("k=%d: LookupManyHBP row %d = %d, want %d", k, r, hbOut[x], codes[r])

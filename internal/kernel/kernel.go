@@ -171,26 +171,17 @@ func seg32(s []byte, off int) []byte {
 	return s[off : off+32 : off+32]
 }
 
-// segment evaluates the prepared predicate over one 32-code segment and
-// returns its 32 result bits (bit i = code 32*seg+i matches). The byte
+// segmentDepth evaluates the prepared predicate over one 32-code segment
+// and returns its 32 result bits (bit i = code 32*seg+i matches) plus the
+// early-stop depth: the number of byte slices the evaluation loaded
+// before the segment's outcome was decided (1 <= depth <= nb). The byte
 // loop early-stops as soon as no code in the segment can still match,
 // exactly like the modelled scanSegment; padding rows in the final segment
-// may produce garbage bits, which the bitvec truncates on write.
+// may produce garbage bits, which the bitvec truncates on write. Tracking
+// the depth costs one register; callers without statistics drop it.
 //
 // The per-op bodies are manually 4x-unrolled over scalar mask words (see
 // movemask4) — a 32-code segment is 4 uint64s of 8 byte lanes each.
-//
-//bsvet:hotloop
-func (sc *scanner) segment(seg int) uint32 {
-	r, _ := sc.segmentDepth(seg)
-	return r
-}
-
-// segmentDepth is segment plus the early-stop depth: the number of byte
-// slices the evaluation loaded before the segment's outcome was decided
-// (1 <= depth <= nb). The observability layer's depth histograms are
-// built from it; tracking costs one register, so segment() shares the
-// same bodies.
 //
 //bsvet:hotloop
 func (sc *scanner) segmentDepth(seg int) (uint32, int) {
@@ -314,19 +305,14 @@ func (sc *scanner) segBetween(off int) (uint32, int) {
 		(g2|e12)&(l2|e22), (g3|e13)&(l3|e23)), d
 }
 
-// ScanRange evaluates p over segments [segLo, segHi), writing each
-// segment's 32 result bits into the aligned block of out via SetWord32.
-// Ranges must not overlap across concurrent callers.
+// scanRange evaluates the prepared predicate over segments [segLo,
+// segHi), writing each segment's 32 result bits into the aligned block of
+// out. Ranges must not overlap across concurrent callers.
 //
 // Full-range scans run op-specialised monolithic loops rather than calling
 // segment() per segment: hoisting the op dispatch, slice headers and
 // broadcast constants out of the segment loop is worth ~2x wall clock.
-func ScanRange(b *core.ByteSlice, p layout.Predicate, segLo, segHi int, out *bitvec.Vector) {
-	sc := prepare(b, p)
-	sc.scanRange(segLo, segHi, out, nil)
-}
-
-// scanRange dispatches the monolithic range loops. dh, when non-nil,
+// dh, when non-nil,
 // accumulates the early-stop depth histogram (observability path); a nil
 // dh costs one predicted branch per segment, keeping the uninstrumented
 // scan at its original throughput.
@@ -719,31 +705,71 @@ func (sc *scanner) rangeCmp(segLo, segHi int, lt, orEq bool, out *bitvec.Vector,
 }
 
 // Scan evaluates p over the whole column into out, which must have length
-// b.Len() and is overwritten.
-func Scan(b *core.ByteSlice, p layout.Predicate, out *bitvec.Vector) {
+// b.Len() and is overwritten. A column with zone maps resolves segments
+// from their first-byte bounds where those decide p, and Scan returns how
+// many it resolved; without zone maps it runs the monolithic early-stop
+// loops and returns 0. Worker chunks are even-segment aligned (as in
+// core.ParallelScan), so no two workers share a result word.
+func Scan(x Exec, b *core.ByteSlice, p layout.Predicate, out *bitvec.Vector) (pruned int, err error) {
 	if out.Len() != b.Len() {
 		panic("kernel: result vector length mismatch")
 	}
-	ScanRange(b, p, 0, b.Segments(), out)
+	zoned := b.HasZoneMaps()
+	return parallelRanges(x, b.Segments(), func(lo, hi int) int {
+		var d obs.DepthCounts
+		dh := x.depths(&d)
+		sc := prepare(b, p)
+		if !zoned {
+			sc.scanRange(lo, hi, out, dh)
+			x.flushDepths(dh, 0)
+			return 0
+		}
+		n := sc.scanZonedRange(zoneFor(b, p), lo, hi, out, dh)
+		x.flushDepths(dh, int64(hi-lo)*zoneMetaBytes)
+		return n
+	}, addInt)
 }
 
-// ParallelScan evaluates p over the whole column with the given number of
-// worker goroutines, partitioning the segment range with the same
-// even-segment chunk alignment as core.ParallelScan so no two workers
-// share a result word. workers <= 1 scans serially. out must have length
-// b.Len() and is overwritten.
-func ParallelScan(b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector) {
-	mustCtx(ParallelScanCtx(nil, b, p, workers, out))
+// ScanPipelined is the native column-first pipelined scan (Algorithm 2):
+// the previous predicate's condensed result gates each segment, and a
+// segment with no live rows is skipped without touching the data. With
+// negate=false the output is prev AND result; with negate=true the scan
+// considers rows where prev is unset and outputs prev OR result. Zone maps
+// on b add a second gate: a live segment whose zone decides p completes
+// without loads. It returns the number of zone-resolved segments.
+func ScanPipelined(x Exec, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) (pruned int, err error) {
+	if prev.Len() != b.Len() {
+		panic("kernel: pipelined scan with mismatched previous result length")
+	}
+	if out.Len() != b.Len() {
+		panic("kernel: result vector length mismatch")
+	}
+	segBytes := int64(gateMaskBytes)
+	if b.HasZoneMaps() {
+		segBytes += zoneMetaBytes
+	}
+	return parallelRanges(x, b.Segments(), func(lo, hi int) int {
+		var d obs.DepthCounts
+		dh := x.depths(&d)
+		sc := prepare(b, p)
+		z := zoneFor(b, p)
+		n, masked := sc.scanPipelinedRange(&z, prev, negate, lo, hi, out, dh)
+		if dh != nil {
+			x.Stage.AddMaskSkipped(int64(masked))
+		}
+		x.flushDepths(dh, int64(hi-lo)*segBytes)
+		return n
+	}, addInt)
 }
 
-// ScanPipelinedRange is the native column-first pipelined scan (Algorithm
-// 2) over segments [segLo, segHi): the previous predicate's condensed
-// result gates each segment — a segment with no live rows is skipped
-// without touching the data. With negate=false the output is prev AND
-// result; with negate=true the scan considers rows where prev is unset and
-// outputs prev OR result.
-func ScanPipelinedRange(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, segLo, segHi int, out *bitvec.Vector) {
-	sc := prepare(b, p)
+// scanPipelinedRange runs the pipelined scan over segments [segLo,
+// segHi), consulting z when the column has zone maps. It returns the
+// (zone-resolved, gate-skipped) segment counts; dh, when non-nil,
+// accumulates the depth histogram with zone-resolved segments at depth 0.
+func (sc *scanner) scanPipelinedRange(z *zoneInfo, prev *bitvec.Vector, negate bool, segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (pruned, masked int) {
+	// Hoisted like scanZonedRange so ZoneDecisionBytes inlines.
+	zoned, mn, mx := z.ok, z.mn, z.mx
+	op, c1, c2 := sc.op, z.c1, z.c2
 	for seg := segLo; seg < segHi; seg++ {
 		off := seg * core.SegmentSize
 		var rprev uint32
@@ -760,24 +786,38 @@ func ScanPipelinedRange(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vect
 			} else {
 				out.SetWord32(off, 0)
 			}
+			masked++
 			continue
 		}
-		r := sc.segment(seg)
+		decided := 0
+		if zoned {
+			decided = core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2)
+		}
+		var r uint32
+		switch decided {
+		case 1:
+			r = ^uint32(0)
+			pruned++
+			if dh != nil {
+				dh[0]++
+			}
+		case -1:
+			pruned++
+			if dh != nil {
+				dh[0]++
+			}
+		default:
+			var d int
+			r, d = sc.segmentDepth(seg)
+			if dh != nil {
+				dh[d]++
+			}
+		}
 		if negate {
 			out.SetWord32(off, r|rprev)
 		} else {
 			out.SetWord32(off, r&rprev)
 		}
 	}
-}
-
-// ScanPipelined runs ScanPipelinedRange over the whole column.
-func ScanPipelined(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, out *bitvec.Vector) {
-	ParallelScanPipelined(b, p, prev, negate, 1, out)
-}
-
-// ParallelScanPipelined is ScanPipelined fanned out across workers with
-// word-aligned segment chunks. workers <= 1 scans serially.
-func ParallelScanPipelined(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector) {
-	mustCtx(ParallelScanPipelinedCtx(nil, b, p, prev, negate, workers, out))
+	return pruned, masked
 }

@@ -162,7 +162,7 @@ func TestScanMatchesOracle(t *testing.T) {
 			b := core.New(codes, k, nil)
 			for _, p := range testPredicates(rng, k) {
 				out := bitvec.New(len(codes))
-				Scan(b, p, out)
+				must1(Scan(Exec{}, b, p, out))
 				for i, v := range codes {
 					if out.Get(i) != p.Eval(v) {
 						t.Fatalf("k=%d dist=%s %v: row %d (code %d) got %v", k, dist, p, i, v, out.Get(i))
@@ -184,7 +184,7 @@ func TestScanTinyAndEmpty(t *testing.T) {
 			{Op: layout.Between, C1: 100, C2: 5000},
 		} {
 			out := bitvec.New(n)
-			ParallelScan(b, p, 4, out)
+			must1(Scan(par(4), b, p, out))
 			for i, v := range codes {
 				if out.Get(i) != p.Eval(v) {
 					t.Fatalf("n=%d %v: row %d (code %d) got %v", n, p, i, v, out.Get(i))
@@ -202,11 +202,11 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	b := core.New(codes, 17, nil)
 	p := layout.Predicate{Op: layout.Ge, C1: 40_000}
 	want := bitvec.New(len(codes))
-	Scan(b, p, want)
+	must1(Scan(Exec{}, b, p, want))
 	got := bitvec.New(len(codes))
 	got.Fill() // stale bits must be overwritten
 	for _, workers := range []int{1, 2, 3, 4, 7, 16, 100} {
-		ParallelScan(b, p, workers, got)
+		must1(Scan(par(workers), b, p, got))
 		if !got.Equal(want) {
 			t.Fatalf("workers=%d: parallel scan differs from serial", workers)
 		}
@@ -232,7 +232,7 @@ func TestScanPipelinedMatchesEngine(t *testing.T) {
 					want := bitvec.New(len(codes))
 					b.ScanPipelined(layouttest.Engine(), p, prev, negate, want)
 					got := bitvec.New(len(codes))
-					ParallelScanPipelined(b, p, prev, negate, 4, got)
+					must1(ScanPipelined(par(4), b, p, prev, negate, got))
 					if !got.Equal(want) {
 						t.Fatalf("k=%d %v negate=%v density=%.3f: pipelined kernel differs", k, p, negate, density)
 					}
@@ -279,12 +279,12 @@ func TestAggregatesMatchScalar(t *testing.T) {
 					found = true
 				}
 				for _, workers := range []int{1, 4} {
-					sum, count := ParallelSum(b, mask, workers)
+					sum, count := must2(Sum(par(workers), b, mask))
 					if sum != wantSum || count != wantCount {
 						t.Fatalf("k=%d n=%d workers=%d: Sum = %d/%d, want %d/%d", k, n, workers, sum, count, wantSum, wantCount)
 					}
-					mn, okMin := ParallelExtreme(b, mask, true, workers)
-					mx, okMax := ParallelExtreme(b, mask, false, workers)
+					mn, okMin := must2(Extreme(par(workers), b, mask, true))
+					mx, okMax := must2(Extreme(par(workers), b, mask, false))
 					if okMin != found || okMax != found {
 						t.Fatalf("k=%d n=%d workers=%d: extreme ok = %v/%v, want %v", k, n, workers, okMin, okMax, found)
 					}
@@ -307,7 +307,7 @@ func TestLookup(t *testing.T) {
 			rows[i] = int32(i)
 		}
 		out := make([]uint32, len(rows))
-		LookupMany(b, rows, out)
+		must(LookupMany(Exec{}, b, rows, out))
 		for i, v := range codes {
 			if got := Lookup(b, i); got != v {
 				t.Fatalf("k=%d: Lookup(%d) = %d, want %d", k, i, got, v)
@@ -328,7 +328,7 @@ func TestSumLongColumn(t *testing.T) {
 		codes[i] = 0xFF
 	}
 	b := core.New(codes, 8, nil)
-	sum, count := Sum(b, nil)
+	sum, count := must2(Sum(Exec{}, b, nil))
 	if sum != uint64(n)*0xFF || count != n {
 		t.Fatalf("Sum = %d/%d, want %d/%d", sum, count, uint64(n)*0xFF, n)
 	}

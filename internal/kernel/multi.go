@@ -4,6 +4,7 @@ import (
 	"byteslice/internal/bitvec"
 	"byteslice/internal/core"
 	"byteslice/internal/layout"
+	"byteslice/internal/obs"
 )
 
 // Native predicate-first evaluation (§3.1.2 strategy 2, on the SWAR path):
@@ -20,27 +21,42 @@ import (
 // resolves its conjunct from the segment's first-byte bounds whenever they
 // decide it, without loading the column's data.
 
-// ScanMultiRange evaluates the conjunction (disjunct=false) or disjunction
-// (disjunct=true) of preds over segments [segLo, segHi), writing each
-// segment's combined result bits into out. All columns must have the same
-// length. It returns the number of per-predicate segment evaluations the
-// zone maps resolved.
-func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, segLo, segHi int, out *bitvec.Vector) int {
+// ScanMulti evaluates the conjunction (disjunct=false) or disjunction
+// (disjunct=true) of preds[i] over cols[i] into out. All columns must have
+// the same length. It returns the number of per-predicate segment
+// evaluations the zone maps resolved. With a Stage, segment and depth
+// counts are per predicate evaluation: a conjunction over k columns
+// contributes up to k entries per 32-code segment.
+func ScanMulti(x Exec, cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, out *bitvec.Vector) (pruned int, err error) {
 	if len(cols) == 0 || len(cols) != len(preds) {
-		panic("kernel: ScanMultiRange needs matching columns and predicates")
+		panic("kernel: ScanMulti needs matching columns and predicates")
 	}
-	scs := make([]scanner, len(cols))
-	zs := make([]zoneInfo, len(cols))
-	for i, b := range cols {
-		if b.Len() != cols[0].Len() {
-			panic("kernel: ScanMultiRange columns have different lengths")
+	for _, b := range cols {
+		if b.Len() != out.Len() {
+			panic("kernel: result vector length mismatch")
 		}
-		scs[i] = prepare(b, preds[i])
-		zs[i] = zoneFor(b, preds[i])
 	}
+	return parallelRanges(x, cols[0].Segments(), func(lo, hi int) int {
+		var d obs.DepthCounts
+		dh := x.depths(&d)
+		scs := make([]scanner, len(cols))
+		zs := make([]zoneInfo, len(cols))
+		for i, b := range cols {
+			scs[i] = prepare(b, preds[i])
+			zs[i] = zoneFor(b, preds[i])
+		}
+		n := scanMultiRange(scs, zs, disjunct, lo, hi, out, dh)
+		x.flushDepths(dh, 0)
+		return n
+	}, addInt)
+}
+
+// scanMultiRange is the predicate-first segment loop over [segLo, segHi).
+// dh, when non-nil, accumulates the per-evaluation depth histogram with
+// zone-resolved conjuncts at depth 0.
+func scanMultiRange(scs []scanner, zs []zoneInfo, disjunct bool, segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
 	pruned := 0
 	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
 		var m uint32
 		if !disjunct {
 			m = ^uint32(0)
@@ -49,6 +65,9 @@ func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct b
 			d := zs[i].decide(scs[i].op, seg)
 			if d != 0 {
 				pruned++
+				if dh != nil {
+					dh[0]++
+				}
 			}
 			if disjunct {
 				// d > 0: every row matches, the segment is all-ones.
@@ -60,8 +79,11 @@ func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct b
 				if d < 0 {
 					continue
 				}
-				m |= scs[i].segment(seg)
-				if m == ^uint32(0) {
+				r, depth := scs[i].segmentDepth(seg)
+				if dh != nil {
+					dh[depth]++
+				}
+				if m |= r; m == ^uint32(0) {
 					break
 				}
 			} else {
@@ -72,26 +94,16 @@ func ScanMultiRange(cols []*core.ByteSlice, preds []layout.Predicate, disjunct b
 					m = 0
 					break
 				}
-				m &= scs[i].segment(seg)
-				if m == 0 {
+				r, depth := scs[i].segmentDepth(seg)
+				if dh != nil {
+					dh[depth]++
+				}
+				if m &= r; m == 0 {
 					break
 				}
 			}
 		}
-		out.SetWord32(off, m)
+		out.SetWord32(seg*core.SegmentSize, m)
 	}
-	return pruned
-}
-
-// ScanMulti runs ScanMultiRange over the whole column set.
-func ScanMulti(cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, out *bitvec.Vector) int {
-	return ParallelScanMulti(cols, preds, disjunct, 1, out)
-}
-
-// ParallelScanMulti is ScanMulti fanned out across workers with
-// word-aligned segment chunks. workers <= 1 scans serially.
-func ParallelScanMulti(cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, workers int, out *bitvec.Vector) int {
-	pruned, err := ParallelScanMultiCtx(nil, cols, preds, disjunct, workers, out)
-	mustCtx(err)
 	return pruned
 }

@@ -1,24 +1,14 @@
 package kernel
 
-import (
-	"context"
-	"time"
-
-	"byteslice/internal/bitvec"
-	"byteslice/internal/core"
-	"byteslice/internal/layout"
-	"byteslice/internal/obs"
-)
-
-// Instrumented kernel entry points. Every *Obs function is the *Ctx
-// kernel plus an optional *obs.Stage: with st == nil the body runs the
-// exact uninstrumented path (the *Ctx functions delegate here with nil),
-// and with st != nil each worker batch accumulates a local early-stop
-// depth histogram (one plain increment per 32-code segment) and flushes
-// it into the shared Stage with a handful of atomic adds per 256-segment
-// batch. Byte accounting follows the layout: 32 column bytes per byte
-// slice examined, 2 zone-metadata bytes per zone-consulted segment, and
-// 4 gate-mask bytes per segment a pipelined scan inspects.
+// Statistics accounting. With a nil Exec.Stage every kernel runs its
+// uninstrumented path: the range loops take a nil *obs.DepthCounts and
+// skip the histogram increment on one predicted branch. With a Stage,
+// each worker batch accumulates a local early-stop depth histogram (one
+// plain increment per 32-code segment) and flushes it into the shared
+// Stage with a handful of atomic adds per 256-segment batch. Byte
+// accounting follows the layout: 32 column bytes per byte slice examined,
+// 2 zone-metadata bytes per zone-consulted segment, and 4 gate-mask bytes
+// per segment a pipelined scan inspects.
 
 // zoneMetaBytes is the zone-map metadata cost per consulted segment: one
 // min and one max byte.
@@ -27,423 +17,3 @@ const zoneMetaBytes = 2
 // gateMaskBytes is the previous-result word a pipelined scan reads per
 // segment.
 const gateMaskBytes = 4
-
-// ParallelScanObs is ParallelScanCtx with per-stage statistics.
-func ParallelScanObs(ctx context.Context, b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) error {
-	if out.Len() != b.Len() {
-		panic("kernel: result vector length mismatch")
-	}
-	_, err := parallelRanges(ctx, b.Segments(), workers, st, func(lo, hi int) struct{} {
-		if st == nil {
-			ScanRange(b, p, lo, hi, out)
-			return struct{}{}
-		}
-		sc := prepare(b, p)
-		var dh obs.DepthCounts
-		sc.scanRange(lo, hi, out, &dh)
-		st.AddDepths(&dh)
-		return struct{}{}
-	}, dropUnit)
-	return err
-}
-
-// ParallelScanZonedObs is ParallelScanZonedCtx with per-stage statistics.
-func ParallelScanZonedObs(ctx context.Context, b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
-	if out.Len() != b.Len() {
-		panic("kernel: result vector length mismatch")
-	}
-	return parallelRanges(ctx, b.Segments(), workers, st, func(lo, hi int) int {
-		if st == nil {
-			return ScanZonedRange(b, p, lo, hi, out)
-		}
-		var dh obs.DepthCounts
-		pruned := scanZonedRangeObs(b, p, lo, hi, out, &dh)
-		st.AddDepths(&dh)
-		st.AddBytes(int64(hi-lo) * zoneMetaBytes)
-		return pruned
-	}, addInt)
-}
-
-// scanZonedRangeObs is ScanZonedRange with early-stop depth tracking;
-// zone-resolved segments count as depth 0.
-func scanZonedRangeObs(b *core.ByteSlice, p layout.Predicate, segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
-	sc := prepare(b, p)
-	z := zoneFor(b, p)
-	if !z.ok {
-		panic("kernel: ScanZonedRange without BuildZoneMaps")
-	}
-	mn, mx := z.mn, z.mx
-	op, c1, c2 := sc.op, z.c1, z.c2
-	pruned := 0
-	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
-		switch core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2) {
-		case 1:
-			out.SetWord32(off, ^uint32(0))
-			pruned++
-			dh[0]++
-		case -1:
-			out.SetWord32(off, 0)
-			pruned++
-			dh[0]++
-		default:
-			r, d := sc.segmentDepth(seg)
-			out.SetWord32(off, r)
-			dh[d]++
-		}
-	}
-	return pruned
-}
-
-// ParallelScanPipelinedObs is ParallelScanPipelinedCtx with per-stage
-// statistics.
-func ParallelScanPipelinedObs(ctx context.Context, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector, st *obs.Stage) error {
-	if prev.Len() != b.Len() {
-		panic("kernel: pipelined scan with mismatched previous result length")
-	}
-	if out.Len() != b.Len() {
-		panic("kernel: result vector length mismatch")
-	}
-	_, err := parallelRanges(ctx, b.Segments(), workers, st, func(lo, hi int) struct{} {
-		if st == nil {
-			ScanPipelinedRange(b, p, prev, negate, lo, hi, out)
-			return struct{}{}
-		}
-		var dh obs.DepthCounts
-		masked := scanPipelinedRangeObs(b, p, prev, negate, lo, hi, out, &dh)
-		st.AddDepths(&dh)
-		st.AddMaskSkipped(int64(masked))
-		st.AddBytes(int64(hi-lo) * gateMaskBytes)
-		return struct{}{}
-	}, dropUnit)
-	return err
-}
-
-// scanPipelinedRangeObs is ScanPipelinedRange with depth tracking; it
-// returns the number of segments the gate skipped outright.
-func scanPipelinedRangeObs(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
-	sc := prepare(b, p)
-	masked := 0
-	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
-		var rprev uint32
-		if off < sc.n {
-			rprev = prev.Word32(off)
-		}
-		gate := rprev
-		if negate {
-			gate = ^rprev
-		}
-		if gate == 0 {
-			if negate {
-				out.SetWord32(off, rprev)
-			} else {
-				out.SetWord32(off, 0)
-			}
-			masked++
-			continue
-		}
-		r, d := sc.segmentDepth(seg)
-		dh[d]++
-		if negate {
-			out.SetWord32(off, r|rprev)
-		} else {
-			out.SetWord32(off, r&rprev)
-		}
-	}
-	return masked
-}
-
-// ParallelScanPipelinedZonedObs is ParallelScanPipelinedZonedCtx with
-// per-stage statistics.
-func ParallelScanPipelinedZonedObs(ctx context.Context, b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
-	if prev.Len() != b.Len() {
-		panic("kernel: pipelined scan with mismatched previous result length")
-	}
-	if out.Len() != b.Len() {
-		panic("kernel: result vector length mismatch")
-	}
-	return parallelRanges(ctx, b.Segments(), workers, st, func(lo, hi int) int {
-		if st == nil {
-			return ScanPipelinedZonedRange(b, p, prev, negate, lo, hi, out)
-		}
-		var dh obs.DepthCounts
-		pruned, masked := scanPipelinedZonedRangeObs(b, p, prev, negate, lo, hi, out, &dh)
-		st.AddDepths(&dh)
-		st.AddMaskSkipped(int64(masked))
-		st.AddBytes(int64(hi-lo) * (gateMaskBytes + zoneMetaBytes))
-		return pruned
-	}, addInt)
-}
-
-// scanPipelinedZonedRangeObs is ScanPipelinedZonedRange with depth
-// tracking; it returns (zone-resolved, gate-skipped) segment counts.
-func scanPipelinedZonedRangeObs(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) (int, int) {
-	sc := prepare(b, p)
-	z := zoneFor(b, p)
-	if !z.ok {
-		panic("kernel: ScanPipelinedZonedRange without BuildZoneMaps")
-	}
-	mn, mx := z.mn, z.mx
-	op, c1, c2 := sc.op, z.c1, z.c2
-	pruned, masked := 0, 0
-	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
-		var rprev uint32
-		if off < sc.n {
-			rprev = prev.Word32(off)
-		}
-		gate := rprev
-		if negate {
-			gate = ^rprev
-		}
-		if gate == 0 {
-			if negate {
-				out.SetWord32(off, rprev)
-			} else {
-				out.SetWord32(off, 0)
-			}
-			masked++
-			continue
-		}
-		var r uint32
-		switch core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2) {
-		case 1:
-			r = ^uint32(0)
-			pruned++
-			dh[0]++
-		case -1:
-			r = 0
-			pruned++
-			dh[0]++
-		default:
-			var d int
-			r, d = sc.segmentDepth(seg)
-			dh[d]++
-		}
-		if negate {
-			out.SetWord32(off, r|rprev)
-		} else {
-			out.SetWord32(off, r&rprev)
-		}
-	}
-	return pruned, masked
-}
-
-// ParallelScanMultiObs is ParallelScanMultiCtx with per-stage statistics.
-// Segment and depth counts are per predicate evaluation: a conjunction
-// over k columns contributes up to k entries per 32-code segment.
-func ParallelScanMultiObs(ctx context.Context, cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, workers int, out *bitvec.Vector, st *obs.Stage) (int, error) {
-	if len(cols) == 0 {
-		panic("kernel: ParallelScanMulti needs at least one column")
-	}
-	if out.Len() != cols[0].Len() {
-		panic("kernel: result vector length mismatch")
-	}
-	return parallelRanges(ctx, cols[0].Segments(), workers, st, func(lo, hi int) int {
-		if st == nil {
-			return ScanMultiRange(cols, preds, disjunct, lo, hi, out)
-		}
-		var dh obs.DepthCounts
-		pruned := scanMultiRangeObs(cols, preds, disjunct, lo, hi, out, &dh)
-		st.AddDepths(&dh)
-		return pruned
-	}, addInt)
-}
-
-// scanMultiRangeObs is ScanMultiRange with per-predicate-evaluation depth
-// tracking (zone-resolved conjuncts count as depth 0).
-func scanMultiRangeObs(cols []*core.ByteSlice, preds []layout.Predicate, disjunct bool, segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
-	if len(cols) == 0 || len(cols) != len(preds) {
-		panic("kernel: ScanMultiRange needs matching columns and predicates")
-	}
-	scs := make([]scanner, len(cols))
-	zs := make([]zoneInfo, len(cols))
-	for i, b := range cols {
-		if b.Len() != cols[0].Len() {
-			panic("kernel: ScanMultiRange columns have different lengths")
-		}
-		scs[i] = prepare(b, preds[i])
-		zs[i] = zoneFor(b, preds[i])
-	}
-	pruned := 0
-	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
-		var m uint32
-		if !disjunct {
-			m = ^uint32(0)
-		}
-		for i := range scs {
-			d := zs[i].decide(scs[i].op, seg)
-			if d != 0 {
-				pruned++
-				dh[0]++
-			}
-			if disjunct {
-				if d > 0 {
-					m = ^uint32(0)
-					break
-				}
-				if d < 0 {
-					continue
-				}
-				r, dep := scs[i].segmentDepth(seg)
-				dh[dep]++
-				m |= r
-				if m == ^uint32(0) {
-					break
-				}
-			} else {
-				if d > 0 {
-					continue
-				}
-				if d < 0 {
-					m = 0
-					break
-				}
-				r, dep := scs[i].segmentDepth(seg)
-				dh[dep]++
-				m &= r
-				if m == 0 {
-					break
-				}
-			}
-		}
-		out.SetWord32(off, m)
-	}
-	return pruned
-}
-
-// ParallelSumObs is ParallelSumCtx with per-stage statistics. Aggregate
-// kernels have no early stop, so bytes are accounted as every byte slice
-// of every segment in the range.
-func ParallelSumObs(ctx context.Context, b *core.ByteSlice, mask *bitvec.Vector, workers int, st *obs.Stage) (sum uint64, count int, err error) {
-	if mask != nil && mask.Len() != b.Len() {
-		panic("kernel: aggregate mask length mismatch")
-	}
-	count = b.Len()
-	if mask != nil {
-		count = mask.Count()
-	}
-	pad := uint(8*b.NumSlices() - b.Width())
-	segBytes := int64(core.SegmentSize * b.NumSlices())
-	padded, err := parallelRanges(ctx, b.Segments(), workers, st, func(lo, hi int) uint64 {
-		if st != nil {
-			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
-		}
-		return sumRange(b, mask, lo, hi)
-	}, func(a, b uint64) uint64 { return a + b })
-	if err != nil {
-		return 0, 0, err
-	}
-	return padded >> pad, count, nil
-}
-
-// ParallelExtremeObs is ParallelExtremeCtx with per-stage statistics.
-func ParallelExtremeObs(ctx context.Context, b *core.ByteSlice, mask *bitvec.Vector, isMin bool, workers int, st *obs.Stage) (uint32, bool, error) {
-	if mask != nil && mask.Len() != b.Len() {
-		panic("kernel: aggregate mask length mismatch")
-	}
-	segBytes := int64(core.SegmentSize * b.NumSlices())
-	best, err := parallelRanges(ctx, b.Segments(), workers, st, func(lo, hi int) extPartial {
-		if st != nil {
-			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
-		}
-		v, ok := extremeRange(b, mask, isMin, lo, hi)
-		return extPartial{v, ok}
-	}, mergeExtreme(isMin))
-	if err != nil {
-		return 0, false, err
-	}
-	return best.v, best.ok, nil
-}
-
-// ScanSumObs is ScanSumCtx with per-stage statistics: filter-column
-// segments plus value-column bytes for the fused aggregate.
-func ScanSumObs(ctx context.Context, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, workers int, st *obs.Stage) (sum uint64, count int, err error) {
-	if f.Len() != v.Len() {
-		panic("kernel: ScanSum columns have different lengths")
-	}
-	type part struct {
-		padded uint64
-		count  int
-	}
-	padv := uint(8*v.NumSlices() - v.Width())
-	segBytes := int64(core.SegmentSize * (f.NumSlices() + v.NumSlices()))
-	res, err := parallelRanges(ctx, f.Segments(), workers, st, func(lo, hi int) part {
-		if st != nil {
-			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
-		}
-		sc := prepare(f, p)
-		z := zoneFor(f, p)
-		padded, n := scanSumRange(f, &sc, &z, v, lo, hi)
-		return part{padded, n}
-	}, func(a, b part) part { return part{a.padded + b.padded, a.count + b.count} })
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.padded >> padv, res.count, nil
-}
-
-// ScanExtremeObs is ScanExtremeCtx with per-stage statistics.
-func ScanExtremeObs(ctx context.Context, f *core.ByteSlice, p layout.Predicate, v *core.ByteSlice, isMin bool, workers int, st *obs.Stage) (uint32, bool, error) {
-	if f.Len() != v.Len() {
-		panic("kernel: ScanExtreme columns have different lengths")
-	}
-	segBytes := int64(core.SegmentSize * (f.NumSlices() + v.NumSlices()))
-	best, err := parallelRanges(ctx, f.Segments(), workers, st, func(lo, hi int) extPartial {
-		if st != nil {
-			st.AddSegments(int64(hi-lo), int64(hi-lo)*segBytes)
-		}
-		sc := prepare(f, p)
-		z := zoneFor(f, p)
-		val, ok := scanExtremeRange(f, &sc, &z, v, isMin, lo, hi)
-		return extPartial{val, ok}
-	}, mergeExtreme(isMin))
-	if err != nil {
-		return 0, false, err
-	}
-	return best.v, best.ok, nil
-}
-
-// LookupManyObs is LookupManyCtx with per-stage statistics: each looked-up
-// row reads one byte per byte slice.
-func LookupManyObs(ctx context.Context, b *core.ByteSlice, rows []int32, out []uint32, st *obs.Stage) error {
-	if len(out) != len(rows) {
-		panic("kernel: LookupMany output length mismatch")
-	}
-	x := &exec{ctx: ctx}
-	if st != nil {
-		st.SetWorkers(1)
-	}
-	nb := int64(b.NumSlices())
-	step := batchSegments * core.SegmentSize
-	for lo := 0; lo < len(rows); lo += step {
-		if x.stop() {
-			break
-		}
-		hi := lo + step
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		var t0 time.Time
-		if st != nil {
-			t0 = time.Now()
-		}
-		if _, err := protect(lo, hi, func(lo, hi int) struct{} {
-			if hook := BatchHook; hook != nil {
-				hook(lo, hi)
-			}
-			LookupMany(b, rows[lo:hi], out[lo:hi])
-			return struct{}{}
-		}); err != nil {
-			x.fail(err)
-			break
-		}
-		if st != nil {
-			st.ObserveBatch(time.Since(t0).Nanoseconds())
-			st.AddRows(int64(hi-lo), int64(hi-lo)*nb)
-		}
-	}
-	return x.finish()
-}

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"context"
 	"testing"
 
 	"byteslice/internal/bitvec"
@@ -11,15 +10,18 @@ import (
 )
 
 // obsColumn builds a 16-bit column whose values cluster per segment, so
-// zone maps resolve many segments and deep early stops still occur.
-func obsColumn(t *testing.T, n int) *core.ByteSlice {
+// zone maps (when zoned) resolve many segments and deep early stops still
+// occur.
+func obsColumn(t *testing.T, n int, zoned bool) *core.ByteSlice {
 	t.Helper()
 	codes := make([]uint32, n)
 	for i := range codes {
 		codes[i] = uint32((i / core.SegmentSize * 97) % 50_000)
 	}
 	b := core.New(codes, 16, nil)
-	b.BuildZoneMaps()
+	if zoned {
+		b.BuildZoneMaps()
+	}
 	return b
 }
 
@@ -27,7 +29,7 @@ func obsColumn(t *testing.T, n int) *core.ByteSlice {
 // bit-identical results to the uninstrumented one for every operator, and
 // that the depth histogram covers exactly the scanned segments.
 func TestScanObsMatchesPlain(t *testing.T) {
-	b := obsColumn(t, 10_000)
+	b := obsColumn(t, 10_000, false)
 	preds := []layout.Predicate{
 		{Op: layout.Eq, C1: 97},
 		{Op: layout.Ne, C1: 97},
@@ -39,13 +41,11 @@ func TestScanObsMatchesPlain(t *testing.T) {
 	}
 	for _, p := range preds {
 		want := bitvec.New(b.Len())
-		Scan(b, p, want)
+		must1(Scan(Exec{}, b, p, want))
 		got := bitvec.New(b.Len())
 		q := obs.NewQuery()
 		st := q.NewStage("scan", "scan")
-		if err := ParallelScanObs(context.Background(), b, p, 4, got, st); err != nil {
-			t.Fatal(err)
-		}
+		must1(Scan(Exec{Workers: 4, Stage: st}, b, p, got))
 		for i := 0; i < b.Len(); i++ {
 			if got.Get(i) != want.Get(i) {
 				t.Fatalf("op %v row %d: obs %v, plain %v", p.Op, i, got.Get(i), want.Get(i))
@@ -77,10 +77,10 @@ func TestScanObsMatchesPlain(t *testing.T) {
 // TestZonedObsAccounting asserts zone-resolved plus scanned segments cover
 // the column and that zone-resolved segments count as depth 0.
 func TestZonedObsAccounting(t *testing.T) {
-	b := obsColumn(t, 10_000)
+	b := obsColumn(t, 10_000, true)
 	p := layout.Predicate{Op: layout.Lt, C1: 25_000}
 	plain := bitvec.New(b.Len())
-	wantPruned := ScanZoned(b, p, plain)
+	wantPruned := must1(Scan(Exec{}, b, p, plain))
 	if wantPruned == 0 {
 		t.Fatal("test column should have zone-resolvable segments")
 	}
@@ -88,10 +88,7 @@ func TestZonedObsAccounting(t *testing.T) {
 	got := bitvec.New(b.Len())
 	q := obs.NewQuery()
 	st := q.NewStage("scan(zoned)", "scan_zoned")
-	pruned, err := ParallelScanZonedObs(context.Background(), b, p, 4, got, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pruned := must1(Scan(Exec{Workers: 4, Stage: st}, b, p, got))
 	if pruned != wantPruned {
 		t.Fatalf("pruned = %d, want %d", pruned, wantPruned)
 	}
@@ -112,21 +109,20 @@ func TestZonedObsAccounting(t *testing.T) {
 // TestPipelinedObsAccounting asserts the gate-skip counter and that the
 // instrumented pipelined scans stay bit-identical.
 func TestPipelinedObsAccounting(t *testing.T) {
-	b := obsColumn(t, 10_000)
+	b := obsColumn(t, 10_000, false)
+	bz := obsColumn(t, 10_000, true)
 	p1 := layout.Predicate{Op: layout.Lt, C1: 20_000}
 	p2 := layout.Predicate{Op: layout.Gt, C1: 5_000}
 	prev := bitvec.New(b.Len())
-	Scan(b, p1, prev)
+	must1(Scan(Exec{}, b, p1, prev))
 
 	want := bitvec.New(b.Len())
-	ScanPipelined(b, p2, prev, false, want)
+	must1(ScanPipelined(Exec{}, b, p2, prev, false, want))
 
 	got := bitvec.New(b.Len())
 	q := obs.NewQuery()
 	st := q.NewStage("scan(pipelined)", "pipelined")
-	if err := ParallelScanPipelinedObs(context.Background(), b, p2, prev, false, 2, got, st); err != nil {
-		t.Fatal(err)
-	}
+	must1(ScanPipelined(Exec{Workers: 2, Stage: st}, b, p2, prev, false, got))
 	for i := 0; i < b.Len(); i++ {
 		if got.Get(i) != want.Get(i) {
 			t.Fatalf("row %d: obs %v, plain %v", i, got.Get(i), want.Get(i))
@@ -142,12 +138,10 @@ func TestPipelinedObsAccounting(t *testing.T) {
 
 	// Zoned + pipelined: all three counters partition the column.
 	want2 := bitvec.New(b.Len())
-	ScanPipelinedZonedRange(b, p2, prev, false, 0, b.Segments(), want2)
+	must1(ScanPipelined(Exec{}, bz, p2, prev, false, want2))
 	got2 := bitvec.New(b.Len())
 	st2 := q.NewStage("scan(pipelined+zoned)", "pipelined")
-	if _, err := ParallelScanPipelinedZonedObs(context.Background(), b, p2, prev, false, 2, got2, st2); err != nil {
-		t.Fatal(err)
-	}
+	must1(ScanPipelined(Exec{Workers: 2, Stage: st2}, bz, p2, prev, false, got2))
 	for i := 0; i < b.Len(); i++ {
 		if got2.Get(i) != want2.Get(i) {
 			t.Fatalf("row %d: zoned obs %v, plain %v", i, got2.Get(i), want2.Get(i))
@@ -163,8 +157,8 @@ func TestPipelinedObsAccounting(t *testing.T) {
 // TestMultiObsMatchesPlain asserts the instrumented predicate-first scan
 // matches the plain one and counts per-predicate evaluations.
 func TestMultiObsMatchesPlain(t *testing.T) {
-	a := obsColumn(t, 10_000)
-	b := obsColumn(t, 10_000)
+	a := obsColumn(t, 10_000, true)
+	b := obsColumn(t, 10_000, true)
 	cols := []*core.ByteSlice{a, b}
 	preds := []layout.Predicate{
 		{Op: layout.Lt, C1: 30_000},
@@ -172,14 +166,11 @@ func TestMultiObsMatchesPlain(t *testing.T) {
 	}
 	for _, disjunct := range []bool{false, true} {
 		want := bitvec.New(a.Len())
-		wantPruned := ScanMulti(cols, preds, disjunct, want)
+		wantPruned := must1(ScanMulti(Exec{}, cols, preds, disjunct, want))
 		got := bitvec.New(a.Len())
 		q := obs.NewQuery()
 		st := q.NewStage("scan(multi)", "scan_multi")
-		pruned, err := ParallelScanMultiObs(context.Background(), cols, preds, disjunct, 2, got, st)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pruned := must1(ScanMulti(Exec{Workers: 2, Stage: st}, cols, preds, disjunct, got))
 		if pruned != wantPruned {
 			t.Fatalf("disjunct=%v: pruned = %d, want %d", disjunct, pruned, wantPruned)
 		}
@@ -205,17 +196,11 @@ func TestMultiObsMatchesPlain(t *testing.T) {
 // TestAggregateLookupObs sanity-checks the aggregate and lookup stage
 // accounting: results unchanged, rows/segments recorded.
 func TestAggregateLookupObs(t *testing.T) {
-	b := obsColumn(t, 5_000)
-	wantSum, wantCount, err := ParallelSumCtx(context.Background(), b, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := obsColumn(t, 5_000, true)
+	wantSum, wantCount := must2(Sum(par(2), b, nil))
 	q := obs.NewQuery()
 	st := q.NewStage("sum", "sum")
-	sum, count, err := ParallelSumObs(context.Background(), b, nil, 2, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum, count := must2(Sum(Exec{Workers: 2, Stage: st}, b, nil))
 	if sum != wantSum || count != wantCount {
 		t.Fatalf("sum = %d/%d, want %d/%d", sum, count, wantSum, wantCount)
 	}
@@ -226,9 +211,7 @@ func TestAggregateLookupObs(t *testing.T) {
 	rows := []int32{0, 31, 63, 4_000}
 	out := make([]uint32, len(rows))
 	stl := q.NewStage("lookup", "lookup")
-	if err := LookupManyObs(context.Background(), b, rows, out, stl); err != nil {
-		t.Fatal(err)
-	}
+	must(LookupMany(Exec{Stage: stl}, b, rows, out))
 	if s := stl.Snapshot(); s.Rows != int64(len(rows)) || s.Batches == 0 {
 		t.Fatalf("lookup stage: %+v", s)
 	}

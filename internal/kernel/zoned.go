@@ -4,6 +4,7 @@ import (
 	"byteslice/internal/bitvec"
 	"byteslice/internal/core"
 	"byteslice/internal/layout"
+	"byteslice/internal/obs"
 )
 
 // Zone-map-aware native scans. A zone map (internal/core/zonemap.go) keeps
@@ -16,9 +17,10 @@ import (
 // over the zone arrays (64 bytes of metadata per 2048 codes — one cache
 // line per 64 segments).
 //
-// All zoned kernels return the number of segments the zone map resolved,
-// so callers (tests, Result.ZoneSkipped, the planner's feedback) can
-// observe that pruning actually happened.
+// Scan, ScanPipelined and ScanMulti consult a column's zone map whenever
+// it has one and return the number of segments the zone map resolved, so
+// callers (tests, Result.ZoneSkipped, the planner's feedback) can observe
+// that pruning actually happened.
 
 // zoneInfo snapshots a column's zone arrays and the predicate's first
 // constant bytes for the per-segment decision test.
@@ -48,16 +50,12 @@ func (z *zoneInfo) decide(op layout.Op, seg int) int {
 	return core.ZoneDecisionBytes(op, z.mn[seg], z.mx[seg], z.c1, z.c2)
 }
 
-// ScanZonedRange evaluates p over segments [segLo, segHi) with zone-map
-// pruning, writing each segment's result bits like ScanRange, and returns
-// the number of segments the zone map decided. BuildZoneMaps must have
-// run on b.
-func ScanZonedRange(b *core.ByteSlice, p layout.Predicate, segLo, segHi int, out *bitvec.Vector) int {
-	sc := prepare(b, p)
-	z := zoneFor(b, p)
-	if !z.ok {
-		panic("kernel: ScanZonedRange without BuildZoneMaps")
-	}
+// scanZonedRange evaluates the prepared predicate over segments [segLo,
+// segHi) with zone-map pruning, writing each segment's result bits like
+// scanRange, and returns the number of segments the zone map decided. dh,
+// when non-nil, accumulates the depth histogram with zone-resolved
+// segments at depth 0.
+func (sc *scanner) scanZonedRange(z zoneInfo, segLo, segHi int, out *bitvec.Vector, dh *obs.DepthCounts) int {
 	// Hoisting the zone arrays and constants lets ZoneDecisionBytes inline
 	// into the loop: the decided case is then two byte loads and a couple of
 	// compares per segment, with no call.
@@ -70,89 +68,22 @@ func ScanZonedRange(b *core.ByteSlice, p layout.Predicate, segLo, segHi int, out
 		case 1:
 			out.SetWord32(off, ^uint32(0))
 			pruned++
+			if dh != nil {
+				dh[0]++
+			}
 		case -1:
 			out.SetWord32(off, 0)
 			pruned++
-		default:
-			out.SetWord32(off, sc.segment(seg))
-		}
-	}
-	return pruned
-}
-
-// ScanZoned evaluates p over the whole column with zone-map pruning and
-// returns the number of zone-resolved segments. out must have length
-// b.Len() and is overwritten.
-func ScanZoned(b *core.ByteSlice, p layout.Predicate, out *bitvec.Vector) int {
-	return ParallelScanZoned(b, p, 1, out)
-}
-
-// ParallelScanZoned is ScanZoned fanned out across workers with the same
-// even-segment chunk alignment as ParallelScan; the per-chunk prune counts
-// are summed. workers <= 1 scans serially.
-func ParallelScanZoned(b *core.ByteSlice, p layout.Predicate, workers int, out *bitvec.Vector) int {
-	pruned, err := ParallelScanZonedCtx(nil, b, p, workers, out)
-	mustCtx(err)
-	return pruned
-}
-
-// ScanPipelinedZonedRange is the pipelined scan with both gates: the
-// previous predicate's condensed result (a segment with no live rows is
-// skipped) and the zone verdict (a segment whose zone decides the
-// predicate completes without loads). Semantics match
-// ScanPipelinedRange; the return value counts zone-resolved segments
-// among those the mask left live.
-func ScanPipelinedZonedRange(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, segLo, segHi int, out *bitvec.Vector) int {
-	sc := prepare(b, p)
-	z := zoneFor(b, p)
-	if !z.ok {
-		panic("kernel: ScanPipelinedZonedRange without BuildZoneMaps")
-	}
-	mn, mx := z.mn, z.mx
-	op, c1, c2 := sc.op, z.c1, z.c2
-	pruned := 0
-	for seg := segLo; seg < segHi; seg++ {
-		off := seg * core.SegmentSize
-		var rprev uint32
-		if off < sc.n {
-			rprev = prev.Word32(off)
-		}
-		gate := rprev
-		if negate {
-			gate = ^rprev
-		}
-		if gate == 0 {
-			if negate {
-				out.SetWord32(off, rprev)
-			} else {
-				out.SetWord32(off, 0)
+			if dh != nil {
+				dh[0]++
 			}
-			continue
-		}
-		var r uint32
-		switch core.ZoneDecisionBytes(op, mn[seg], mx[seg], c1, c2) {
-		case 1:
-			r = ^uint32(0)
-			pruned++
-		case -1:
-			r = 0
-			pruned++
 		default:
-			r = sc.segment(seg)
-		}
-		if negate {
-			out.SetWord32(off, r|rprev)
-		} else {
-			out.SetWord32(off, r&rprev)
+			r, d := sc.segmentDepth(seg)
+			out.SetWord32(off, r)
+			if dh != nil {
+				dh[d]++
+			}
 		}
 	}
-	return pruned
-}
-
-// ParallelScanPipelinedZoned is ScanPipelinedZonedRange over the whole
-// column, fanned out across workers. workers <= 1 scans serially.
-func ParallelScanPipelinedZoned(b *core.ByteSlice, p layout.Predicate, prev *bitvec.Vector, negate bool, workers int, out *bitvec.Vector) int {
-	pruned, err := ParallelScanPipelinedZonedCtx(nil, b, p, prev, negate, workers, out)
-	mustCtx(err)
 	return pruned
 }

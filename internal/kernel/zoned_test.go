@@ -13,8 +13,9 @@ import (
 
 // TestZonedKernelsOnShapedData runs the zoned, multi and fused kernels over
 // the three distributions the planner is built for — sorted, clustered and
-// uniform — and checks both bit-identical results against the engine path
-// and that pruning actually happens where the data shape promises it.
+// uniform — and checks bit-identical results against the engine path and
+// against the same codes without zone maps, and that pruning actually
+// happens where the data shape promises it.
 func TestZonedKernelsOnShapedData(t *testing.T) {
 	const n = 1<<14 + 9 // partial final segment
 	rng := datagen.NewRand(42)
@@ -29,6 +30,7 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
+			plain := core.New(shape.codes, 12, nil)
 			b := core.New(shape.codes, 12, nil)
 			b.BuildZoneMaps()
 			c := datagen.SelectivityConstant(shape.codes, 0.01)
@@ -45,7 +47,7 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 					for _, workers := range []int{1, 4} {
 						got := bitvec.New(n)
 						got.Fill()
-						pruned := ParallelScanZoned(b, p, workers, got)
+						pruned := must1(Scan(par(workers), b, p, got))
 						if !got.Equal(want) {
 							t.Fatalf("workers=%d: zoned scan differs", workers)
 						}
@@ -53,12 +55,18 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 						if shape.wantPrune && pruned < segs/2 {
 							t.Fatalf("workers=%d: pruned %d of %d segments, want most", workers, pruned, segs)
 						}
+						gotPlain := bitvec.New(n)
+						if pruned := must1(Scan(par(workers), plain, p, gotPlain)); pruned != 0 || !gotPlain.Equal(want) {
+							t.Fatalf("workers=%d: scan without zone maps pruned %d, equal %v", workers, pruned, gotPlain.Equal(want))
+						}
 
 						// Fused sum against the two-pass composition.
 						wantSum, wantN := b.Sum(layouttest.Engine(), want)
-						gotSum, gotN := ScanSum(b, p, b, workers)
-						if gotSum != wantSum || gotN != wantN {
-							t.Fatalf("workers=%d: fused sum %d/%d, two-pass %d/%d", workers, gotSum, gotN, wantSum, wantN)
+						for _, f := range []*core.ByteSlice{b, plain} {
+							gotSum, gotN := must2(ScanSum(par(workers), f, p, b))
+							if gotSum != wantSum || gotN != wantN {
+								t.Fatalf("workers=%d zoned=%v: fused sum %d/%d, two-pass %d/%d", workers, f.HasZoneMaps(), gotSum, gotN, wantSum, wantN)
+							}
 						}
 					}
 
@@ -69,7 +77,7 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 						b.ScanPipelined(layouttest.Engine(), p, want, negate, wantP)
 						gotP := bitvec.New(n)
 						gotP.Fill()
-						ParallelScanPipelinedZoned(b, p, want, negate, 4, gotP)
+						must1(ScanPipelined(par(4), b, p, want, negate, gotP))
 						if !gotP.Equal(wantP) {
 							t.Fatalf("negate=%v: zoned pipelined scan differs", negate)
 						}
@@ -93,7 +101,7 @@ func TestZonedKernelsOnShapedData(t *testing.T) {
 				}
 				gotM := bitvec.New(n)
 				gotM.Fill()
-				pruned := ParallelScanMulti([]*core.ByteSlice{b, b, b}, preds, disjunct, 4, gotM)
+				pruned := must1(ScanMulti(par(4), []*core.ByteSlice{b, b, b}, preds, disjunct, gotM))
 				if !gotM.Equal(wantM) {
 					t.Fatalf("disjunct=%v: multi scan differs", disjunct)
 				}

@@ -166,7 +166,7 @@ func (d *DepthCounts) Bytes() int64 {
 // share one Stage without locks.
 type Stage struct {
 	// Name identifies the stage for humans ("scan(price)"); Kind is the
-	// machine-readable stage class ("scan", "scan_zoned", "scan_multi",
+	// machine-readable stage class ("scan", "scan_compressed", "scan_multi",
 	// "pipelined", "sum", "extreme", "scan_sum", "scan_extreme",
 	// "lookup", "project", "orderby").
 	Name, Kind string

@@ -125,7 +125,9 @@ func TestServeE2E(t *testing.T) {
 	serverDone := make(chan error, 1)
 
 	// Tee stdout into the log file while watching for the address line
-	// and, at the end, the clean-shutdown line.
+	// and, at the end, the clean-shutdown line. Wait runs only after the
+	// pipe hits EOF: it closes the pipe, and calling it earlier can drop
+	// the last lines the server printed.
 	addrc := make(chan string, 1)
 	outputc := make(chan string, 1)
 	go func() {
@@ -140,8 +142,8 @@ func TestServeE2E(t *testing.T) {
 			}
 		}
 		outputc <- all.String()
+		serverDone <- srv.Wait()
 	}()
-	go func() { serverDone <- srv.Wait() }()
 
 	var base string
 	select {

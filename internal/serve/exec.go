@@ -185,7 +185,9 @@ func (s *Server) execRows(req *Request, b binding, res *byteslice.Result, resp *
 		ids = res.Rows()
 	}
 	if limit > 0 && len(ids) > limit {
-		ids = ids[:limit]
+		// Copy the prefix: a reslice would keep the whole match array
+		// alive for as long as the response sits in the result cache.
+		ids = append(make([]int32, 0, limit), ids[:limit]...)
 	}
 	resp.RowIDs = ids
 

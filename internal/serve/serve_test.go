@@ -67,6 +67,41 @@ func mustDo(t *testing.T, s *Server, req *Request) *Response {
 	return resp
 }
 
+// TestRowsLimitCopiesIDs: a limited rows response, fresh or cached,
+// holds only the limited ids rather than a window onto the whole match
+// array, which the cache would otherwise keep alive.
+func TestRowsLimitCopiesIDs(t *testing.T) {
+	s := newTestServer(t, Config{})
+	vals := make([]int64, 5000)
+	for i := range vals {
+		vals[i] = int64(i % 100)
+	}
+	col, err := byteslice.NewIntColumn("v", vals, 0, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := byteslice.NewTable(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.cat.MountTable("big", tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, orderBy := range []string{"", "v"} {
+		req := &Request{Table: "big", Op: "rows", Where: leaf("v", "ge", 0), OrderBy: orderBy, Limit: 10}
+		for _, want := range []string{"miss", "hit"} {
+			resp := mustDo(t, s, req)
+			if resp.Cache != want {
+				t.Fatalf("order_by=%q: cache = %q, want %q", orderBy, resp.Cache, want)
+			}
+			if len(resp.RowIDs) != 10 || cap(resp.RowIDs) > 10 {
+				t.Fatalf("order_by=%q %s: row ids len %d cap %d, want len 10 cap <= 10",
+					orderBy, want, len(resp.RowIDs), cap(resp.RowIDs))
+			}
+		}
+	}
+}
+
 func TestNormalizeCommutes(t *testing.T) {
 	a := &Node{All: []Node{*leaf("qty", "ge", 10), *leaf("mode", "eq", "AIR")}}
 	b := &Node{All: []Node{*leaf("mode", "eq", "AIR"), *leaf("qty", "ge", 10)}}

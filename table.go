@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"byteslice/internal/bitvec"
@@ -126,7 +125,7 @@ func (c *Column) withCompression() (*Column, error) {
 		rows[i] = int32(i)
 	}
 	codes := make([]uint32, c.Len())
-	if err := kernel.LookupManyObs(context.Background(), bs, rows, codes, nil); err != nil {
+	if err := kernel.LookupMany(kernel.Exec{Ctx: context.Background()}, bs, rows, codes); err != nil {
 		return nil, queryErr(err)
 	}
 	nc := *c
@@ -377,6 +376,13 @@ func (c *queryConfig) nativeWorkers(segs int) int {
 	return w
 }
 
+// exec is the native kernel execution for one stage over segs segments:
+// the query's context, nativeWorkers(segs) workers and st (nil when
+// statistics are off).
+func (c *queryConfig) exec(segs int, st *obs.Stage) kernel.Exec {
+	return kernel.Exec{Ctx: c.ctx, Workers: c.nativeWorkers(segs), Stage: st}
+}
+
 // WithProfile records the evaluation's modelled execution metrics.
 func WithProfile(p *Profile) QueryOption {
 	return func(c *queryConfig) { c.profile = p }
@@ -574,7 +580,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			}
 			if cfg.native() {
 				st, done := cfg.stage(q, "scan(multi)", "scan_multi")
-				pruned, err := kernel.ParallelScanMultiObs(cfg.ctx, cols, preds, disjunct, cfg.nativeWorkers(cols[0].Segments()), out, st)
+				pruned, err := kernel.ScanMulti(cfg.exec(cols[0].Segments(), st), cols, preds, disjunct, out)
 				done()
 				if err != nil {
 					return nil, queryErr(err)
@@ -621,8 +627,8 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 				// (dispatch.go) runs with whatever metadata pruning the
 				// layout carries — zone maps on ByteSlice, exact block
 				// bounds on compressed, none on HBP.
-				st, done := cfg.stage(q, "scan("+r.col.Name()+")", lk.scanKind(r.col))
-				pruned, err := lk.scan(cfg.ctx, r.col, r.pred, cfg.nativeWorkers(lk.segments(r.col)), acc, st)
+				st, done := cfg.stage(q, "scan("+r.col.Name()+")", lk.scanKind)
+				pruned, err := lk.scan(cfg.exec(lk.segments(r.col), st), r.col, r.pred, acc)
 				done()
 				if err != nil {
 					return nil, queryErr(err)
@@ -656,7 +662,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			// independent scan combined through the bit vector.
 			if lk := nativeKernelOf(r.col); lk != nil && lk.scanPipelined != nil && cfg.native() && !(disjunct && r.col.nulls != nil) {
 				st, done := cfg.stage(q, "scan("+r.col.Name()+")", "pipelined")
-				pruned, err := lk.scanPipelined(cfg.ctx, r.col, r.pred, acc, disjunct, cfg.nativeWorkers(lk.segments(r.col)), cur, st)
+				pruned, err := lk.scanPipelined(cfg.exec(lk.segments(r.col), st), r.col, r.pred, acc, disjunct, cur)
 				done()
 				if err != nil {
 					return nil, queryErr(err)
@@ -680,8 +686,8 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 		if lk := nativeKernelOf(r.col); lk != nil && cfg.native() {
 			// Independent native scan through the layout dispatch table;
 			// the result combines through the bit vector.
-			st, done := cfg.stage(q, "scan("+r.col.Name()+")", lk.scanKind(r.col))
-			pruned, err := lk.scan(cfg.ctx, r.col, r.pred, cfg.nativeWorkers(lk.segments(r.col)), cur, st)
+			st, done := cfg.stage(q, "scan("+r.col.Name()+")", lk.scanKind)
+			pruned, err := lk.scan(cfg.exec(lk.segments(r.col), st), r.col, r.pred, cur)
 			done()
 			if err != nil {
 				return nil, queryErr(err)
@@ -874,31 +880,8 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 		if max := len(rows) / (minSegmentsPerWorker * core.SegmentSize); workers > max {
 			workers = max
 		}
-		if workers <= 1 {
-			if err := lk.lookupMany(cfg.ctx, c, rows, codes, st); err != nil {
-				return nil, nil, queryErr(err)
-			}
-			return rows, codes, nil
-		}
-		chunk := (len(rows) + workers - 1) / workers
-		errs := make([]error, (len(rows)+chunk-1)/chunk)
-		var wg sync.WaitGroup
-		for i, lo := 0, 0; lo < len(rows); i, lo = i+1, lo+chunk {
-			hi := lo + chunk
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			wg.Add(1)
-			go func(i, lo, hi int) {
-				defer wg.Done()
-				errs[i] = lk.lookupMany(cfg.ctx, c, rows[lo:hi], codes[lo:hi], st)
-			}(i, lo, hi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, queryErr(err)
-			}
+		if err := lk.lookupMany(kernel.Exec{Ctx: cfg.ctx, Workers: workers, Stage: st}, c, rows, codes); err != nil {
+			return nil, nil, queryErr(err)
 		}
 		return rows, codes, nil
 	}
@@ -967,7 +950,7 @@ func (t *Table) OrderBy(col string, res *Result, opts ...QueryOption) ([]int32, 
 		// instead of modelled per-row lookups — then radix-sort the small
 		// materialised ByteSlice column; the permutation maps back to rows.
 		codes := make([]uint32, len(rows))
-		if err := lk.lookupMany(cfg.ctx, c, rows, codes, nil); err != nil {
+		if err := lk.lookupMany(kernel.Exec{Ctx: cfg.ctx}, c, rows, codes); err != nil {
 			return nil, queryErr(err)
 		}
 		sub := core.New(codes, c.Width(), nil)
