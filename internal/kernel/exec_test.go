@@ -490,3 +490,27 @@ func TestCtxZonedScans(t *testing.T) {
 		t.Fatalf("zoned pipelined scan: pruned %d, equal %v", pruned, out.Equal(want))
 	}
 }
+
+// TestScanMultiAllocsPerCall: the predicate-first kernel prepares its
+// per-column scanners once per call, so a serial two-column ScanMulti
+// allocates the same at 4 cancellation batches as at 64. A predicate
+// outside its column's domain still fails as the batch's PanicError.
+func TestScanMultiAllocsPerCall(t *testing.T) {
+	allocs := func(batches int) float64 {
+		b := execColumn(t, batches*batchSegments*core.SegmentSize)
+		cols := []*core.ByteSlice{b, b}
+		preds := []layout.Predicate{{Op: layout.Lt, C1: 500}, {Op: layout.Gt, C1: 100}}
+		out := bitvec.New(b.Len())
+		return testing.AllocsPerRun(5, func() { must1(ScanMulti(Exec{}, cols, preds, false, out)) })
+	}
+	if few, many := allocs(4), allocs(64); few != many {
+		t.Fatalf("ScanMulti allocates %v times over 4 batches but %v over 64", few, many)
+	}
+
+	b := execColumn(t, 1000)
+	var pe *PanicError
+	bad := []layout.Predicate{{Op: layout.Lt, C1: 1 << 12}}
+	if _, err := ScanMulti(Exec{Workers: 2}, []*core.ByteSlice{b}, bad, false, bitvec.New(b.Len())); !errors.As(err, &pe) {
+		t.Fatalf("out-of-domain predicate: err = %v, want *PanicError", err)
+	}
+}

@@ -36,19 +36,33 @@ func ScanMulti(x Exec, cols []*core.ByteSlice, preds []layout.Predicate, disjunc
 			panic("kernel: result vector length mismatch")
 		}
 	}
+	scs, zs, bad := prepareMulti(cols, preds)
 	return parallelRanges(x, cols[0].Segments(), func(lo, hi int) int {
+		if bad != nil {
+			panic(bad)
+		}
 		var d obs.DepthCounts
 		dh := x.depths(&d)
-		scs := make([]scanner, len(cols))
-		zs := make([]zoneInfo, len(cols))
-		for i, b := range cols {
-			scs[i] = prepare(b, preds[i])
-			zs[i] = zoneFor(b, preds[i])
-		}
 		n := scanMultiRange(scs, zs, disjunct, lo, hi, out, dh)
 		x.flushDepths(dh, 0)
 		return n
 	}, addInt)
+}
+
+// prepareMulti prepares every conjunct's scanner and zone gate once per
+// call; the batches only read them. A predicate that does not fit its
+// column panics in prepare: the panic value comes back as bad for every
+// batch to re-raise, so it still surfaces as that batch's PanicError, as
+// it did when each batch prepared its own scanners.
+func prepareMulti(cols []*core.ByteSlice, preds []layout.Predicate) (scs []scanner, zs []zoneInfo, bad any) {
+	defer func() { bad = recover() }()
+	scs = make([]scanner, len(cols))
+	zs = make([]zoneInfo, len(cols))
+	for i, b := range cols {
+		scs[i] = prepare(b, preds[i])
+		zs[i] = zoneFor(b, preds[i])
+	}
+	return scs, zs, nil
 }
 
 // scanMultiRange is the predicate-first segment loop over [segLo, segHi).
