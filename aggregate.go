@@ -66,10 +66,10 @@ func (t *Table) sumCodes(c *Column, mask *bitvec.Vector, cfg *queryConfig) (uint
 			finish(err)
 			return sum, count, err
 		}
-		sum, count := bs.Sum(cfg.profile.engine(), mask)
+		sum, count := bs.Sum(engine(cfg.profile), mask)
 		return sum, count, nil
 	}
-	e := cfg.profile.engine()
+	e := engine(cfg.profile)
 	var sum uint64
 	count := 0
 	for i := 0; i < t.n; i++ {
@@ -113,7 +113,7 @@ func (t *Table) extremeCode(c *Column, mask *bitvec.Vector, cfg *queryConfig, is
 			finish(err)
 			return v, found, err
 		}
-		e := cfg.profile.engine()
+		e := engine(cfg.profile)
 		if isMin {
 			v, found := bs.Min(e, mask)
 			return v, found, nil
@@ -121,7 +121,7 @@ func (t *Table) extremeCode(c *Column, mask *bitvec.Vector, cfg *queryConfig, is
 		v, found := bs.Max(e, mask)
 		return v, found, nil
 	}
-	e := cfg.profile.engine()
+	e := engine(cfg.profile)
 	var best uint32
 	found := false
 	for i := 0; i < t.n; i++ {
@@ -505,7 +505,7 @@ func (t *Table) sumBy(v *Column, byCol string, res *Result, opts []QueryOption,
 		o(&cfg)
 	}
 	p := cfg.profile
-	e := p.engine()
+	e := engine(p)
 
 	// Effective mask: result rows minus NULLs of both columns.
 	mask := t.aggMask(v, res)

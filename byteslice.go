@@ -40,6 +40,7 @@ import (
 	"byteslice/internal/layout/hbp"
 	"byteslice/internal/layouts"
 	"byteslice/internal/perf"
+	"byteslice/internal/plan"
 	"byteslice/internal/simd"
 )
 
@@ -91,54 +92,51 @@ func builderFor(f Format) (layout.Builder, error) {
 	return b, nil
 }
 
-// Profile exposes the modelled execution metrics of operations run with it:
-// instructions, branch mispredictions, cache behaviour, and the derived
-// cycle count of the emulated Haswell-class core.
-type Profile struct {
-	p *perf.Profile
-}
+// The profile and strategy types are the engine's and the planner's own,
+// so the facade, the experiments and the planner share one of each.
+type (
+	// Profile records the modelled execution metrics of operations run
+	// with it: instructions, branch mispredictions, cache behaviour, and
+	// the derived cycle count of the emulated Haswell-class core. It is
+	// the engine's profile type (perf.Profile), so a caller that profiles
+	// a query can read per-level cache statistics (Cache.Stats()) as well
+	// as the summary methods Cycles, Instructions, Reset and String.
+	Profile = perf.Profile
+
+	// Strategy selects how multi-column filters are evaluated (§3.1.2 of
+	// the paper). It is the planner's strategy type (plan.Strategy), so
+	// Result.Explain and the query statistics name strategies the same
+	// way callers choose them.
+	Strategy = plan.Strategy
+)
 
 // NewProfile returns a profile with cache modelling enabled.
-func NewProfile() *Profile { return &Profile{p: perf.NewProfile()} }
+func NewProfile() *Profile { return perf.NewProfile() }
 
-// Cycles is the modelled cycle count accumulated so far.
-func (p *Profile) Cycles() float64 { return p.p.Cycles() }
-
-// Instructions is the modelled instruction count accumulated so far.
-func (p *Profile) Instructions() uint64 { return p.p.Instructions() }
-
-// Reset clears the accumulated counters (cache contents stay warm).
-func (p *Profile) Reset() { p.p.Reset() }
-
-// String summarises the profile.
-func (p *Profile) String() string { return p.p.String() }
-
-func (p *Profile) engine() *simd.Engine {
+// engine returns the modelled SIMD engine recording into p; a nil profile
+// counts into a throwaway cache-less profile.
+func engine(p *Profile) *simd.Engine {
 	if p == nil {
 		return simd.New(perf.NewProfileNoCache())
 	}
-	return simd.New(p.p)
+	return simd.New(p)
 }
-
-// Strategy selects how multi-column filters are evaluated (§3.1.2 of the
-// paper). The default for ByteSlice tables is the column-first pipelined
-// evaluation the paper recommends.
-type Strategy int
 
 // Evaluation strategies.
 const (
-	// StrategyAuto picks column-first for ByteSlice tables and the
-	// baseline for other formats, matching the paper's setup.
-	StrategyAuto Strategy = iota
+	// StrategyAuto lets the cost-based planner choose on the native path
+	// and picks column-first on the modelled (WithProfile) path, matching
+	// the paper's setup.
+	StrategyAuto = plan.Auto
 	// StrategyBaseline evaluates every predicate independently and
 	// combines result bit vectors.
-	StrategyBaseline
+	StrategyBaseline = plan.Baseline
 	// StrategyColumnFirst pipelines each predicate's condensed result into
 	// the next column's scan (Algorithm 2).
-	StrategyColumnFirst
+	StrategyColumnFirst = plan.ColumnFirst
 	// StrategyPredicateFirst evaluates all predicates per 32-row segment,
 	// pipelining the uncondensed bank masks (ByteSlice only).
-	StrategyPredicateFirst
+	StrategyPredicateFirst = plan.PredicateFirst
 )
 
 // arena is the process-wide simulated address allocator: every column built

@@ -322,7 +322,7 @@ func (c *Column) LookupCode(p *Profile, i int) uint32 {
 			return kernel.Lookup(bs, i)
 		}
 	}
-	return c.data.Lookup(p.engine(), i)
+	return c.data.Lookup(engine(p), i)
 }
 
 // Workload reports the column's lifetime access counters: rows examined

@@ -123,7 +123,7 @@ func materializeCodes(ctx context.Context, c *Column) ([]uint32, error) {
 		}
 		return codes, nil
 	}
-	e := (*Profile)(nil).engine()
+	e := engine(nil)
 	for i := range codes {
 		codes[i] = c.data.Lookup(e, i)
 	}

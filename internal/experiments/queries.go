@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"byteslice/internal/cache"
-	"byteslice/internal/exec"
+	"byteslice"
 	"byteslice/internal/layouts"
-	"byteslice/internal/perf"
 	"byteslice/internal/realdata"
-	"byteslice/internal/table"
 	"byteslice/internal/tpch"
 )
 
@@ -22,22 +19,25 @@ func init() {
 // strategyFor matches the paper's setup: ByteSlice uses the column-first
 // pipelined evaluation it recommends; the other layouts evaluate complex
 // predicates conventionally.
-func strategyFor(layoutName string) exec.Strategy {
+func strategyFor(layoutName string) byteslice.Strategy {
 	if layoutName == "ByteSlice" {
-		return exec.ColumnFirst
+		return byteslice.StrategyColumnFirst
 	}
-	return exec.Baseline
+	return byteslice.StrategyBaseline
 }
 
 // runSuite executes queries on the table under every layout and returns
-// results[layout][query].
-func runSuite(tables map[string]*table.Table, queries []tpch.Query) map[string]map[string]tpch.Result {
+// results[layout][query]. With a non-nil check (the scalar oracle), every
+// result's match count is validated; a failed query or a mismatch panics.
+func runSuite(tables map[string]*byteslice.Table, queries []tpch.Query, check func(tpch.Query, int) error) map[string]map[string]tpch.Result {
 	out := make(map[string]map[string]tpch.Result, len(tables))
 	for name, tb := range tables {
 		out[name] = make(map[string]tpch.Result, len(queries))
 		for _, q := range queries {
-			prof := perf.NewProfile()
-			res, err := tpch.Run(tb, q, strategyFor(name), prof)
+			res, err := tpch.Run(tb, q, strategyFor(name), byteslice.NewProfile())
+			if err == nil && check != nil {
+				err = check(q, res.Matches)
+			}
 			if err != nil {
 				panic(fmt.Sprintf("%s/%s: %v", name, q.Name, err))
 			}
@@ -47,10 +47,11 @@ func runSuite(tables map[string]*table.Table, queries []tpch.Query) map[string]m
 	return out
 }
 
-func buildAll(specs func(name string) *table.Table) map[string]*table.Table {
-	tables := make(map[string]*table.Table, len(layouts.Names))
+// buildAll formats a dataset once per layout.
+func buildAll(build func(byteslice.Format) *byteslice.Table) map[string]*byteslice.Table {
+	tables := make(map[string]*byteslice.Table, len(layouts.Names))
 	for _, name := range layouts.Names {
-		tables[name] = specs(name)
+		tables[name] = build(byteslice.Format(name))
 	}
 	return tables
 }
@@ -94,31 +95,31 @@ func breakdownReport(id, title string, n int, queries []tpch.Query, results map[
 	return r
 }
 
-func tpchTables(cfg Config, skew float64) (*tpch.Dataset, map[string]*table.Table, []tpch.Query) {
+// tpchSuite generates the TPC-H wide table at the given skew and runs
+// every kernel on every layout, validating each against the scalar oracle.
+func tpchSuite(cfg Config, skew float64) ([]tpch.Query, map[string]map[string]tpch.Result) {
 	d := tpch.Generate(tpch.Config{Rows: cfg.TPCHRows, Seed: cfg.Seed, Skew: skew})
-	tables := buildAll(func(name string) *table.Table {
-		return d.Build(layouts.Builders[name], cache.NewArena(64))
+	queries := tpch.Queries(d)
+	results := runSuite(buildAll(d.Build), queries, func(q tpch.Query, matches int) error {
+		return tpch.Validate(d, q, matches)
 	})
-	return d, tables, tpch.Queries(d)
+	return queries, results
 }
 
 func fig14(cfg Config) []*Report {
-	_, tables, queries := tpchTables(cfg, 0)
-	results := runSuite(tables, queries)
+	queries, results := tpchSuite(cfg, 0)
 	return []*Report{speedupReport("Fig14", "TPC-H speed-up over Bit-Packed", queries, results)}
 }
 
 func fig20(cfg Config) []*Report {
-	_, tables, queries := tpchTables(cfg, 0)
-	results := runSuite(tables, queries)
+	queries, results := tpchSuite(cfg, 0)
 	return []*Report{breakdownReport("Fig20", "TPC-H execution time breakdown", cfg.TPCHRows, queries, results)}
 }
 
 func fig21(cfg Config) []*Report {
 	var out []*Report
 	for _, z := range []float64{1, 2} {
-		_, tables, queries := tpchTables(cfg, z)
-		results := runSuite(tables, queries)
+		queries, results := tpchSuite(cfg, z)
 		out = append(out, speedupReport("Fig21",
 			fmt.Sprintf("TPC-H speed-up over Bit-Packed, zipf = %.0f", z), queries, results))
 	}
@@ -128,10 +129,7 @@ func fig21(cfg Config) []*Report {
 func fig22(cfg Config) []*Report {
 	var out []*Report
 	for _, d := range []*realdata.Dataset{realdata.Adult(cfg.Seed), realdata.Baseball(cfg.Seed)} {
-		tables := buildAll(func(name string) *table.Table {
-			return d.Build(layouts.Builders[name], cache.NewArena(64))
-		})
-		results := runSuite(tables, d.Queries)
+		results := runSuite(buildAll(d.Build), d.Queries, nil)
 		n := len(d.Raw[d.Specs[0].Name])
 		out = append(out,
 			speedupReport("Fig22", d.Name+" speed-up over Bit-Packed", d.Queries, results),

@@ -20,25 +20,36 @@ import (
 	"strings"
 )
 
-// Strategy is the planner's choice of physical evaluation shape.
+// Strategy selects how a multi-predicate query is evaluated (§3.1.2 of
+// the paper). It is the one strategy type of the module: the facade
+// exports it as byteslice.Strategy, callers pass it with WithStrategy,
+// and the planner's Decision carries one of the three physical shapes.
 type Strategy int
 
-// Strategies, mirroring the facade's (the facade maps them back).
+// Strategies. The zero value, Auto, defers the choice: the planner makes
+// it on the native path, the paper's column-first policy on the modelled
+// path. Plan never returns Auto.
 const (
-	// ColumnFirst pipelines each predicate's condensed result into the
-	// next column's scan (Algorithm 2, the paper's recommendation).
-	ColumnFirst Strategy = iota
-	// PredicateFirst evaluates all predicates per 32-code segment with the
-	// native multi-scan kernel, materialising no intermediate vectors.
-	PredicateFirst
+	// Auto leaves the evaluation shape to the executor.
+	Auto Strategy = iota
 	// Baseline scans every predicate independently and combines bit
-	// vectors; it is also the fallback when pipelining cannot apply.
+	// vectors (Figure 6a); it is also the fallback when pipelining cannot
+	// apply.
 	Baseline
+	// ColumnFirst pipelines each predicate's condensed result into the
+	// next column's scan (Figure 6b, Algorithm 2, the paper's
+	// recommendation).
+	ColumnFirst
+	// PredicateFirst evaluates all predicates per 32-code segment,
+	// pipelining the uncondensed bank masks (Figure 6c; ByteSlice only).
+	PredicateFirst
 )
 
 // String names the strategy as Explain prints it.
 func (s Strategy) String() string {
 	switch s {
+	case Auto:
+		return "auto"
 	case ColumnFirst:
 		return "column-first"
 	case PredicateFirst:

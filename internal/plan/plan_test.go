@@ -201,3 +201,19 @@ func TestExplainDeterministicAndComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestStrategyString pins the strategy names Explain, stats and bsinspect
+// print, and the numeric values the facade's Strategy constants export.
+func TestStrategyString(t *testing.T) {
+	for s, want := range map[Strategy]string{
+		Auto: "auto", Baseline: "baseline", ColumnFirst: "column-first", PredicateFirst: "predicate-first",
+		Strategy(9): "Strategy(9)",
+	} {
+		if s.String() != want {
+			t.Fatalf("String(%d) = %q, want %q", int(s), s.String(), want)
+		}
+	}
+	if Auto != 0 || Baseline != 1 || ColumnFirst != 2 || PredicateFirst != 3 {
+		t.Fatal("strategy values moved")
+	}
+}

@@ -3,12 +3,7 @@ package realdata_test
 import (
 	"testing"
 
-	"byteslice/internal/core"
-	"byteslice/internal/exec"
-	"byteslice/internal/layout"
-	"byteslice/internal/layout/bp"
-	"byteslice/internal/layout/hbp"
-	"byteslice/internal/layout/vbp"
+	"byteslice"
 	"byteslice/internal/perf"
 	"byteslice/internal/realdata"
 	"byteslice/internal/tpch"
@@ -101,17 +96,11 @@ func TestSkewShapes(t *testing.T) {
 }
 
 func TestQueriesAllLayouts(t *testing.T) {
-	builders := map[string]layout.Builder{
-		"BitPacked": bp.NewBuilder,
-		"HBP":       hbp.NewBuilder,
-		"VBP":       vbp.NewBuilder,
-		"ByteSlice": core.NewBuilder,
-	}
 	for _, d := range []*realdata.Dataset{realdata.Adult(3), realdata.Baseball(3)} {
-		for name, b := range builders {
-			tb := d.Build(b, nil)
+		for _, name := range byteslice.Formats() {
+			tb := d.Build(name)
 			for _, q := range d.Queries {
-				res, err := tpch.Run(tb, q, exec.ColumnFirst, perf.NewProfileNoCache())
+				res, err := tpch.Run(tb, q, byteslice.StrategyColumnFirst, perf.NewProfileNoCache())
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", d.Name, name, q.Name, err)
 				}

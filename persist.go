@@ -239,7 +239,7 @@ func writeCodesSection(cw *countingWriter, c *Column, n int) error {
 			}
 		}
 	} else {
-		e := nilProfile.engine()
+		e := engine(nil)
 		for i := 0; i < n; i++ {
 			if err := emit(c.data.Lookup(e, i)); err != nil {
 				return err
@@ -257,9 +257,6 @@ func writeCodesSection(cw *countingWriter, c *Column, n int) error {
 	_, err := cw.Write(tail[:])
 	return err
 }
-
-// nilProfile lets persistence reuse the engine plumbing without metrics.
-var nilProfile *Profile
 
 // ReadTable deserialises a table written by WriteTo, rebuilding every
 // column in the requested format (pass no option to restore the formats
@@ -863,7 +860,7 @@ func (t *Table) writeToV1(w io.Writer) (int64, error) {
 		}
 
 		for i := 0; i < t.n; i++ {
-			if err := put(c.data.Lookup(nilProfile.engine(), i)); err != nil {
+			if err := put(c.data.Lookup(engine(nil), i)); err != nil {
 				return cw.n, err
 			}
 		}

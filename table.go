@@ -458,7 +458,7 @@ func (t *Table) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Resu
 
 func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig, q *obs.Query) (*Result, error) {
 	cfg := *cfgp
-	e := cfg.profile.engine()
+	e := engine(cfg.profile)
 
 	rs := make([]resolved, 0, len(filters))
 	for _, f := range filters {
@@ -530,7 +530,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			rs = ordered
 		}
 		if strategy == StrategyAuto {
-			strategy = nativeStrategy(d.Strategy)
+			strategy = d.Strategy
 		}
 		if cfg.workers == 0 {
 			cfg.workers = d.Workers
@@ -642,7 +642,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			case isBS && cfg.workers > 1:
 				for _, wp := range bs.ParallelScan(r.pred, cfg.workers, acc) {
 					if cfg.profile != nil {
-						cfg.profile.p.Merge(wp)
+						cfg.profile.Merge(wp)
 					}
 				}
 			case isBS && bs.HasZoneMaps():
@@ -757,17 +757,6 @@ func (t *Table) planPreds(rs []resolved) []plan.Pred {
 		preds[i] = p
 	}
 	return preds
-}
-
-// nativeStrategy maps the planner's choice onto the facade's strategies.
-func nativeStrategy(s plan.Strategy) Strategy {
-	switch s {
-	case plan.PredicateFirst:
-		return StrategyPredicateFirst
-	case plan.Baseline:
-		return StrategyBaseline
-	}
-	return StrategyColumnFirst
 }
 
 func allBS(rs []resolved) ([]*core.ByteSlice, []layout.Predicate, bool) {
@@ -885,7 +874,7 @@ func (t *Table) projectCodes(c *Column, res *Result, opts []QueryOption) ([]int3
 		}
 		return rows, codes, nil
 	}
-	e := cfg.profile.engine()
+	e := engine(cfg.profile)
 	for i, r := range rows {
 		// Modelled per-lookup path: observe cancellation between row
 		// batches so a huge profiled projection can still be stopped.
@@ -919,7 +908,7 @@ func (t *Table) OrderBy(col string, res *Result, opts ...QueryOption) ([]int32, 
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
-	e := cfg.profile.engine()
+	e := engine(cfg.profile)
 
 	rows := make([]int32, 0, res.Count())
 	for _, r := range res.Rows() {
