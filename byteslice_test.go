@@ -654,7 +654,7 @@ func TestWithZoneMaps(t *testing.T) {
 }
 
 // TestFacadeOddsAndEnds exercises the remaining small surfaces: fallback
-// aggregation paths on non-ByteSlice formats, AnyFilters, DeltaTable.Base.
+// aggregation paths on non-ByteSlice formats, AnyFilters, NullCount.
 func TestFacadeOddsAndEnds(t *testing.T) {
 	vals := []int64{5, 1, 9, 3}
 	col := intColumn(t, "v", vals, 0, 10, byteslice.WithFormat(byteslice.FormatHBP))
@@ -681,11 +681,7 @@ func TestFacadeOddsAndEnds(t *testing.T) {
 		t.Fatalf("AnyFilters count = %d (%v)", r2.Count(), err)
 	}
 
-	// DeltaTable.Base and NullCount on a non-nullable column.
-	d := byteslice.NewDeltaTable(tbl)
-	if d.Base() != tbl {
-		t.Fatal("Base() lost the table")
-	}
+	// NullCount on a non-nullable column.
 	if col.NullCount() != 0 || col.Nullable() {
 		t.Fatal("non-nullable column reports nulls")
 	}
@@ -710,19 +706,23 @@ func TestFacadeOddsAndEnds(t *testing.T) {
 	}
 }
 
-// TestPersistDeltaInterplay merges a delta and round-trips the result.
+// TestPersistDeltaInterplay merges an ingest delta and round-trips the
+// merged base.
 func TestPersistDeltaInterplay(t *testing.T) {
 	col := intColumn(t, "v", []int64{1, 2}, 0, 100)
 	tbl, _ := byteslice.NewTable(col)
-	d := byteslice.NewDeltaTable(tbl)
-	if err := d.AppendRow(map[string]any{"v": int64(42)}); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := d.Merge()
+	it, err := byteslice.CreateIngest(t.TempDir(), tbl, byteslice.WithAutoMerge(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := roundTripTable(t, merged)
+	defer it.Close() //nolint:errcheck // test cleanup
+	if err := it.Append(map[string]any{"v": int64(42)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := it.MergeNow(); err != nil {
+		t.Fatal(err)
+	}
+	got := roundTripTable(t, it.Base())
 	c, _ := got.Column("v")
 	if v, _ := c.LookupInt(nil, 2); v != 42 {
 		t.Fatalf("round-tripped merged value = %d", v)

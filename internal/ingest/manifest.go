@@ -12,11 +12,11 @@ import (
 
 // The manifest is the one mutable cell of an ingest directory: a tiny
 // CRC-framed file naming the current epoch and its two artifacts (base
-// snapshot, WAL). It is replaced with the classic temp-file + fsync +
-// rename + directory-fsync protocol, so a crash at any point during an
-// epoch switch leaves either the old complete epoch or the new complete
-// epoch — never a mix. Everything else in the directory is immutable or
-// append-only; recovery starts here.
+// snapshot, WAL). It is replaced with WriteFileAtomic's temp-file +
+// fsync + rename + directory-fsync protocol, so a crash at any point
+// during an epoch switch leaves either the old complete epoch or the new
+// complete epoch — never a mix. Everything else in the directory is
+// immutable or append-only; recovery starts here.
 //
 //	magic "BSMF" | version u16 = 1
 //	frame 'M': epoch u64 | base string | wal string   (strings u32-length-prefixed)
@@ -44,7 +44,7 @@ type Manifest struct {
 }
 
 // WriteManifest atomically publishes m as dir's manifest.
-func WriteManifest(dir string, m Manifest) (err error) {
+func WriteManifest(dir string, m Manifest) error {
 	var payload bytes.Buffer
 	var b8 [8]byte
 	binary.LittleEndian.PutUint64(b8[:], m.Epoch)
@@ -71,34 +71,13 @@ func WriteManifest(dir string, m Manifest) (err error) {
 	binary.LittleEndian.PutUint32(b4[:], crc32.Checksum(payload.Bytes(), walCRC))
 	stream.Write(b4[:])
 
-	tmp, err := os.CreateTemp(dir, ".manifest-*.tmp")
+	err := WriteFileAtomic(filepath.Join(dir, ManifestName), ManifestWriterHook, func(w io.Writer) error {
+		_, err := w.Write(stream.Bytes())
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("ingest: write manifest: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer func() {
-		if err != nil {
-			tmp.Close()        //nolint:errcheck // already failing
-			os.Remove(tmpName) //nolint:errcheck // best-effort cleanup
-		}
-	}()
-	w := io.Writer(tmp)
-	if ManifestWriterHook != nil {
-		w = ManifestWriterHook(tmp)
-	}
-	if _, err = w.Write(stream.Bytes()); err != nil {
-		return fmt.Errorf("ingest: write manifest: %w", err)
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("ingest: write manifest: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("ingest: write manifest: %w", err)
-	}
-	if err = os.Rename(tmpName, filepath.Join(dir, ManifestName)); err != nil {
-		return fmt.Errorf("ingest: publish manifest: %w", err)
-	}
-	syncDir(dir)
 	return nil
 }
 

@@ -103,12 +103,14 @@ func Create(path string, epoch, baseRows uint64, syncEach bool) (*WAL, error) {
 	if err == nil {
 		err = f.Sync()
 	}
+	if err == nil {
+		err = SyncDir(filepath.Dir(path))
+	}
 	if err != nil {
 		f.Close()       //nolint:errcheck // already failing
 		os.Remove(path) //nolint:errcheck // best-effort cleanup
 		return nil, fmt.Errorf("ingest: create WAL %s: %w", path, err)
 	}
-	syncDir(filepath.Dir(path))
 	return w, nil
 }
 
@@ -361,15 +363,4 @@ func Inspect(path string) (Info, error) {
 		info.Tail = "torn"
 	}
 	return info, nil
-}
-
-// syncDir fsyncs a directory entry change, degrading gracefully on
-// filesystems that refuse to fsync directories.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()  //nolint:errcheck // best-effort, mirrors persist_file.go
-	d.Close() //nolint:errcheck // read-only
 }

@@ -458,7 +458,6 @@ func (t *Table) eval(filters []Filter, disjunct bool, opts []QueryOption) (*Resu
 
 func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig, q *obs.Query) (*Result, error) {
 	cfg := *cfgp
-	e := engine(cfg.profile)
 
 	rs := make([]resolved, 0, len(filters))
 	for _, f := range filters {
@@ -587,9 +586,9 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 				}
 				zoneSkipped += pruned
 			} else if disjunct {
-				core.ScanDisjunctionPredicateFirst(e, cols, preds, out)
+				core.ScanDisjunctionPredicateFirst(engine(cfg.profile), cols, preds, out)
 			} else {
-				core.ScanConjunctionPredicateFirst(e, cols, preds, out)
+				core.ScanConjunctionPredicateFirst(engine(cfg.profile), cols, preds, out)
 			}
 			return &Result{bv: out, explain: explain, zoneSkipped: zoneSkipped}, nil
 		}
@@ -646,9 +645,9 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 					}
 				}
 			case isBS && bs.HasZoneMaps():
-				bs.ScanZoned(e, r.pred, acc)
+				bs.ScanZoned(engine(cfg.profile), r.pred, acc)
 			default:
-				r.col.data.Scan(e, r.pred, acc)
+				r.col.data.Scan(engine(cfg.profile), r.pred, acc)
 			}
 			applyNulls(acc, r.col)
 			continue
@@ -675,7 +674,7 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 				continue
 			}
 			if p, ok := r.col.data.(layout.Pipelined); ok && !(cfg.native() && nativeKernelOf(r.col) != nil) && !(disjunct && r.col.nulls != nil) {
-				p.ScanPipelined(e, r.pred, acc, disjunct, cur)
+				p.ScanPipelined(engine(cfg.profile), r.pred, acc, disjunct, cur)
 				if !disjunct {
 					applyNulls(cur, r.col)
 				}
@@ -694,9 +693,9 @@ func (t *Table) evalFiltered(filters []Filter, disjunct bool, cfgp *queryConfig,
 			}
 			zoneSkipped += pruned
 		} else if bs, isBS := byteSliceOf(r.col.data); isBS && bs.HasZoneMaps() {
-			bs.ScanZoned(e, r.pred, cur)
+			bs.ScanZoned(engine(cfg.profile), r.pred, cur)
 		} else {
-			r.col.data.Scan(e, r.pred, cur)
+			r.col.data.Scan(engine(cfg.profile), r.pred, cur)
 		}
 		applyNulls(cur, r.col)
 		if disjunct {

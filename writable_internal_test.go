@@ -116,3 +116,53 @@ func TestAppendTableRows(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestKeepsZoneMaps: sealed segments and the merged base keep the
+// zone maps their source column carried, and still answer correctly.
+func TestIngestKeepsZoneMaps(t *testing.T) {
+	qty, err := NewIntColumn("qty", []int64{5, 50, 7, 9}, 0, 100, WithZoneMaps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewTable(qty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := CreateIngest(t.TempDir(), base, WithSealRows(4), WithAutoMerge(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close() //nolint:errcheck // test cleanup
+	for _, v := range []int64{80, 1, 2, 3, 90} {
+		if err := it.Append(map[string]any{"qty": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := it.view.Load()
+	if len(v.sealed) != 1 || !v.sealed[0].cols[0].HasZoneMaps() {
+		t.Fatalf("sealed segments: %d, zone maps lost", len(v.sealed))
+	}
+	want := []int32{4, 8}
+	check := func(stage string) {
+		t.Helper()
+		res, err := it.Filter([]Filter{IntFilter("qty", Ge, 60)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("%s: rows = %v, want %v", stage, got, want)
+		}
+	}
+	check("sealed")
+	if err := it.MergeNow(); err != nil {
+		t.Fatal(err)
+	}
+	col, err := it.Base().Column("qty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it.Base().Len() != 8 || !col.HasZoneMaps() {
+		t.Fatalf("merged base: %d rows, zone maps %v", it.Base().Len(), col.HasZoneMaps())
+	}
+	check("merged")
+}
